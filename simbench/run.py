@@ -21,11 +21,13 @@ metric tables below.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from typing import Dict, List, Tuple
@@ -107,15 +109,17 @@ PER_LAYER: List[Tuple[str, str, str]] = [
     ("bench.calibration_s", "s", "lower"),
 ]
 
-#: Host time of the simulator: the process's CPU seconds.  The simulator is
-#: single-threaded and does no I/O, so on an idle machine this equals wall
-#: time; on a shared one it leaves out the time other processes take.
-host_clock = time.process_time
-
 #: Seconds of wall time each run measures unless ``--seconds`` says else.
 RUN_SECONDS = 30
 #: Least set-up repetitions per run; ``setup_s`` reports their median.
 SETUP_REPEATS = 3
+#: Statement that times the program's import in a fresh interpreter, in
+#: CPU seconds at reference speed.
+_IMPORT_PROBE = ("import sys; sys.path[:0] = [{root!r}, {src!r}]; "
+                 "from simbench.hostspeed import host_clock, reference_s, "
+                 "scaled; before = reference_s(); t0 = host_clock(); "
+                 "import simbench.workloads; seconds = host_clock() - t0; "
+                 "print(scaled(seconds, before, reference_s()))")
 #: Relative float tolerance between a stepper's ``busy_s`` and its ledger.
 #: Both sum the same latencies, in a different order and grouping.
 LEDGER_REL_TOL = 1e-9
@@ -140,8 +144,9 @@ def benchmark_spec() -> Dict:
 def calibrate() -> float:
     """Wall seconds a fixed pure-Python kernel takes here (best of three).
 
-    Reported so that a slow or contended machine shows as such; the other
-    metrics are deliberately not divided by it.
+    Reported so that a slow or contended machine shows as such.  No metric
+    is divided by it: host times are scaled by the reference kernel of
+    ``simbench.hostspeed``, read around each timed piece of work.
     """
     best = float("inf")
     for _ in range(3):
@@ -151,6 +156,23 @@ def calibrate() -> float:
             acc = (acc * 31 + i) % 1_000_003
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def import_seconds(first: float) -> float:
+    """Median CPU seconds, at reference speed, of importing the program.
+
+    ``first`` is this process's own import; the others are timed in fresh
+    interpreters, one after another, so that ``setup_s`` is a median of
+    ``SETUP_REPEATS`` set-ups like its other parts.
+    """
+    probe = _IMPORT_PROBE.format(root=ROOT, src=os.path.join(ROOT, "src"))
+    seconds = [first]
+    for _ in range(SETUP_REPEATS - 1):
+        out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT,
+                             check=True, capture_output=True, text=True,
+                             timeout=120)
+        seconds.append(float(out.stdout))
+    return statistics.median(seconds)
 
 
 class Failures(list):
@@ -164,22 +186,22 @@ class Failures(list):
 def _serve(spec, base, seed: int, traced: bool):
     """One fresh serving run: build engines, serve a pristine copy.
 
-    Returns ``(result, workload, serve host seconds, tracer or None)``.
+    Returns ``(result, workload, serve CPU seconds at reference speed,
+    serve CPU seconds, tracer or None)``.
     """
+    from simbench.hostspeed import host_clock, reference_s, scaled
     from simbench.tracing import LayerTracer
     workload = base.copy_fresh()
     gc.collect()
-    if not traced:
+    with (LayerTracer() if traced else contextlib.nullcontext()) as tracer:
         system = spec.build()
-        t0 = host_clock()
-        result = spec.serve(system, workload, seed)
-        return result, workload, host_clock() - t0, None
-    with LayerTracer() as tracer:
-        system = spec.build()
+        before = reference_s()
         t0 = host_clock()
         result = spec.serve(system, workload, seed)
         seconds = host_clock() - t0
-    return result, workload, seconds, tracer
+        after = reference_s()
+    return (result, workload, scaled(seconds, before, after), seconds,
+            tracer)
 
 
 def layer_metrics(result, tracer, span_stats: Dict[str, Tuple[int, float]]
@@ -263,6 +285,7 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
         request_digest,
         sim_metrics,
     )
+    from simbench.hostspeed import host_clock, reference_s, scaled
     from simbench.tracing import SPANS
     from simbench.workloads import WORKLOADS
 
@@ -276,6 +299,7 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
     # Set-up, at least SETUP_REPEATS times: workload generation and engine
     # construction.  The first workload generated for each trace is served.
     gen_times, build_times, bases = [], [], []
+    before = reference_s()
     for k in range(max(SETUP_REPEATS, traces)):
         t0 = host_clock()
         workload = spec.generate(size, trace_seed(seed, k % traces))
@@ -285,16 +309,20 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
         gen_times.append(t1 - t0)
         if k < traces:
             bases.append(workload)
-    setup = {"setup.workload_s": statistics.median(gen_times),
-             "setup.engine_s": statistics.median(build_times)}
+    after = reference_s()
+    setup = {"setup.workload_s": scaled(statistics.median(gen_times),
+                                        before, after),
+             "setup.engine_s": scaled(statistics.median(build_times),
+                                      before, after)}
     setup_s = import_s + setup["setup.workload_s"] + setup["setup.engine_s"]
 
     failures = Failures()
     digests: Dict[int, str] = {}
     outcomes: Dict[int, TraceOutcome] = {}
-    #: Fewest host seconds an untraced (traced) serve of each trace took.
-    best: Dict[int, float] = {}
-    traced_best: Dict[int, float] = {}
+    #: Untraced serves' CPU seconds at reference speed, by trace.
+    times: Dict[int, List[float]] = {}
+    #: Unscaled CPU seconds of every serve, by traced or not and by trace.
+    raw: Dict[bool, Dict[int, List[float]]] = {False: {}, True: {}}
     traced_self_s: List[Dict[str, float]] = []
     last_traced = None
     attempted = failed = served = 0
@@ -304,8 +332,9 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
         k = 0 if trace else served % traces
         base = bases[k]
         for traced_run in ((False, True) if trace else (False,)):
-            result, workload, seconds_, tracer = _serve(
+            result, workload, seconds_, raw_s, tracer = _serve(
                 spec, base, trace_seed(seed, k), traced_run)
+            raw[traced_run].setdefault(k, []).append(raw_s)
             sent = len(workload.requests)
             attempted += sent
             failed += sent - result.num_finished
@@ -319,16 +348,14 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
             failures.check(outcomes.setdefault(k, outcome) == outcome,
                            f"trace {k}: simulated results differ between runs")
             if traced_run:
-                traced_best[k] = min(traced_best.get(k, seconds_), seconds_)
                 traced_self_s.append({name: stats[1] for name, stats
                                       in tracer.stats.items()})
                 last_traced = (result, tracer)
                 failures.extend(tracer.ledger_mismatches(LEDGER_REL_TOL))
             else:
-                best[k] = min(best.get(k, seconds_), seconds_)
+                times.setdefault(k, []).append(seconds_)
                 log(f"  trace {k}: {result.num_finished}/{sent} finished in "
-                    f"{seconds_:.3f} CPU-s "
-                    f"({result.num_finished / seconds_:.1f} req/s)")
+                    f"{raw_s:.3f} CPU-s, {seconds_:.3f} at reference speed")
         served += 1
         elapsed = time.perf_counter() - started
         if served >= min_serves and elapsed * (served + 1) / served > seconds:
@@ -339,11 +366,10 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
         f"{len(outcomes)} trace(s), {finished // 100} beyond p99")
     if not trace:
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # Other load on the machine can only slow a serve down, so each
-        # trace's fastest serve is the best reading of the program's speed.
-        metrics = {"requests_per_s": (
-                       sum(outcomes[k].finished for k in best)
-                       / sum(best.values())),
+        unscaled_s = sum(statistics.median(t) for t in raw[False].values())
+        log(f"  unscaled: {finished / unscaled_s:.1f} req/s")
+        scaled_s = sum(statistics.median(t) for t in times.values())
+        metrics = {"requests_per_s": finished / scaled_s,
                    "setup_s": setup_s,
                    "peak_rss_mb": rss_kb / 1024.0}
         metrics.update(sim_metrics([outcomes[k] for k in sorted(outcomes)],
@@ -356,11 +382,14 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
                       for name in SPANS}
         metrics = layer_metrics(result, tracer, span_stats)
         metrics.update(setup)
+        # Traced and untraced serves alternate, so their unscaled times
+        # compare directly; scaling would only add the readings' noise.
         metrics["bench.trace_overhead_pct"] = 100.0 * (
-            traced_best[0] / best[0] - 1.0)
+            statistics.median(raw[True][0])
+            / statistics.median(raw[False][0]) - 1.0)
         metrics["bench.calibration_s"] = calibration_s
         units = {n: u for n, u, _ in PER_LAYER}
-        traced_s = traced_best[0]
+        traced_s = statistics.median(raw[True][0])
         log(f"  self time by layer (traced serve {traced_s:.3f}s):")
         for name, (calls, self_s) in sorted(span_stats.items(),
                                             key=lambda kv: -kv[1][1]):
@@ -392,10 +421,12 @@ def main(argv=None) -> int:
                         help="rewrite BENCHMARK.json and exit")
     args = parser.parse_args(argv)
 
-    t0 = host_clock()
     sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+    from simbench.hostspeed import host_clock, reference_s, scaled
+    before = reference_s()
+    t0 = host_clock()
     import simbench.workloads  # noqa: F401  (imports the program)
-    import_s = host_clock() - t0
+    import_s = scaled(host_clock() - t0, before, reference_s())
 
     if args.write_spec:
         with open(os.path.join(ROOT, "BENCHMARK.json"), "w") as handle:
@@ -406,7 +437,8 @@ def main(argv=None) -> int:
         parser.error(f"--workload must be one of "
                      f"{', '.join(simbench.workloads.WORKLOADS)}")
     result = run(args.workload, args.seed, args.seconds, bool(args.trace),
-                 import_s, out_dir=os.path.join(ROOT, ".simbench-out"))
+                 import_seconds(import_s),
+                 out_dir=os.path.join(ROOT, ".simbench-out"))
     print(json.dumps(result), flush=True)
     return 0 if result["correct"] else 1
 

@@ -173,7 +173,7 @@ WORKLOADS: Dict[str, WorkloadSpec] = {spec.name: spec for spec in (
         why="multi-turn chat on a prefill/decode fleet whose KV working set "
             "overflows the prefix cache: sharing, demotion, eviction, "
             "adoption and speculative steps",
-        size=100, traces=5, generate=_chat_generate, build=_chat_build,
+        size=100, traces=4, generate=_chat_generate, build=_chat_build,
         serve=_chat_serve, ttft_slo_s=0.5, tpot_slo_s=0.03,
         slo_reason="interactive chat: half a second to first token and "
                    "30 ms per token, about 1.3x the unloaded 13B FP16 TPOT "
@@ -182,7 +182,7 @@ WORKLOADS: Dict[str, WorkloadSpec] = {spec.name: spec for spec in (
         name="flash-crowd-autoscale",
         why="a 6x paid/free flash crowd on an autoscaled pool under "
             "tiered-shed with telemetry on: scaling, cold starts, drains",
-        size=1500, traces=6, generate=_flash_generate, build=_flash_build,
+        size=2500, traces=6, generate=_flash_generate, build=_flash_build,
         serve=_flash_serve, ttft_slo_s=0.5, tpot_slo_s=0.01,
         slo_reason="the autoscaler's own TTFT target (0.5 s) and about 2x "
                    "the unloaded W4A8KV4 7B TPOT on an A100"),
