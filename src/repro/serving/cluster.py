@@ -3,12 +3,23 @@
 One :class:`repro.serving.engine.ServingEngine` models a single model
 replica (possibly tensor-parallel across several GPUs).  Production
 deployments run many such replicas behind a load balancer; this module
-simulates that tier.  :class:`ClusterEngine` drives N replica
-:class:`~repro.serving.engine.EngineStepper` loops against one shared clock:
-requests are dispatched in arrival order, every replica is advanced to the
-arrival instant first, and the pluggable :class:`Router` then picks a
-replica using the queue state *at that moment* — exactly the information a
-real load balancer has.
+simulates that tier.  :class:`ClusterEngine` drives N replicas against one
+shared clock in a single event loop, whatever the fleet: static,
+disaggregated, autoscaled or multiplexed.  Each replica is an
+:class:`~repro.serving.engine.EngineStepper` or a multi-model host of
+several, and the loop only submits requests and runs replicas up to an
+instant.  It takes three kinds of event in time order, ties broken
+handoff, then arrival, then autoscaler tick, and advances every live
+replica to the event's instant first, so the pluggable :class:`Router` (and
+the autoscaler) see the queue state *at that moment* — exactly the
+information a real load balancer has.  A *handoff* migrates a finished
+prefill to a decode replica, an *arrival* is routed among the active,
+prefill-capable replicas, and a *tick* lets the autoscaler provision a
+replica (cold starts activate when an advance passes their ready time) or
+drain one.  After the last arrival a static or multiplexed fleet runs dry;
+a disaggregated fleet steps its busy replicas until a round makes no
+progress with no handoff pending; an autoscaled fleet ticks until it is
+idle or two ticks pass without progress.
 
 Routers shipped by default:
 
@@ -71,6 +82,7 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -100,6 +112,7 @@ from repro.serving.telemetry import (
     TelemetryConfig,
     Tracer,
     chrome_trace,
+    resolve_tracers,
 )
 
 __all__ = [
@@ -233,12 +246,13 @@ class PrefixAffinityRouter(Router):
         return index
 
 
-class DisaggregatedRouter(Router):
+class DisaggregatedRouter(ShortestQueueRouter):
     """Router for prefill/decode-split clusters.
 
-    ``route`` places *arrivals*: it sees only the prefill-capable replicas
-    (roles ``prefill`` and ``mixed``) and picks the one owing the fewest
-    pending prefill tokens — prompt work is what a prefill tier queues on.
+    ``route`` (inherited from shortest-queue) places *arrivals*: it sees
+    only the prefill-capable replicas (roles ``prefill`` and ``mixed``) and
+    picks the one owing the fewest pending prefill tokens — prompt work is
+    what a prefill tier queues on.
     ``route_decode`` places *migrations*: among the decode-role replicas it
     picks the least-loaded one (fewest outstanding requests, pending-token
     tiebreak), counting in-flight transfers already bound for a replica so a
@@ -247,11 +261,6 @@ class DisaggregatedRouter(Router):
     """
 
     name = "disaggregated"
-
-    def route(self, request: Request, replicas: Sequence[EngineStepper]) -> int:
-        return min(range(len(replicas)),
-                   key=lambda i: (replicas[i].pending_prefill_tokens,
-                                  replicas[i].outstanding_requests, i))
 
     def route_decode(self, request: Request,
                      replicas: Sequence[EngineStepper]) -> int:
@@ -661,14 +670,14 @@ class _MultiplexReplica:
         stepper.submit(request)
         return stepper
 
-    def run_until(self, t: Optional[float] = None) -> None:
+    def run_until(self, t: float) -> None:
         """Advance the serialized timeline until no stepper can start < ``t``.
 
         Repeatedly picks the stepper able to start soonest on the shared
         GPU — its own ready time, but never before the replica's committed
         frontier — lets it run one step, and folds the outcome back into
         the frontier.  Ties break toward the lowest model index.
-        ``t=None`` drains everything.
+        ``t=math.inf`` drains everything.
         """
         stuck: set = set()
         while True:
@@ -685,7 +694,7 @@ class _MultiplexReplica:
             if best is None:
                 return
             start, _, stepper = best
-            if t is not None and start >= t:
+            if start >= t:
                 return
             stepper.sync_clock(start)
             if stepper.step(horizon=t):
@@ -694,9 +703,6 @@ class _MultiplexReplica:
                 # No admissible work on this model before the horizon
                 # (or ever); stop re-polling it this pass.
                 stuck.add(best[1])
-
-    def run(self) -> None:
-        self.run_until(None)
 
 
 # ----------------------------------------------------------------------
@@ -818,31 +824,6 @@ class ClusterEngine:
         """GPUs across the whole cluster (replicas x TP degree)."""
         return self.num_replicas * self.engine.tp_degree
 
-    def _replica_tracers(self, telemetry: Union[None, bool, TelemetryConfig]
-                         ) -> List[Optional[Tracer]]:
-        """One tracer per replica (or all ``None`` with telemetry off).
-
-        Replica index becomes the trace's process id; role-specialised
-        replicas carry their role in the process name so the Perfetto view
-        reads as the deployment does.
-        """
-        if telemetry is None or telemetry is False:
-            return [None] * self.num_replicas
-        if telemetry is True:
-            config = TelemetryConfig()
-        elif isinstance(telemetry, TelemetryConfig):
-            config = telemetry
-        else:
-            raise TypeError(
-                f"cluster telemetry must be None, bool or TelemetryConfig, "
-                f"got {type(telemetry).__name__}")
-        tracers: List[Optional[Tracer]] = []
-        for i, role in enumerate(self.roles):
-            suffix = "" if role == "mixed" else f" ({role})"
-            tracers.append(Tracer(config, replica_index=i,
-                                  replica_name=f"replica{i}{suffix}"))
-        return tracers
-
     def serve(self, workload: Workload,
               router: Union[str, Router] = "least-outstanding",
               max_num_seqs: Optional[int] = None,
@@ -889,136 +870,271 @@ class ClusterEngine:
         """
         if isinstance(router, str):
             router = get_router(router)
-        if multiplex is not None:
-            if autoscaler is not None:
-                raise ValueError(
-                    "multiplexing and autoscaling are mutually exclusive")
-            if self.disaggregated:
-                raise ValueError(
-                    "multiplexing and role-specialised replicas are "
-                    "mutually exclusive; use mixed roles")
-            if self.heterogeneous:
-                raise ValueError(
-                    "multiplexing and per-replica systems are mutually "
-                    "exclusive")
-            return self._serve_multiplexed(workload, router, max_num_seqs,
-                                           scheduling, speculative,
-                                           telemetry, multiplex)
+        if multiplex is not None and autoscaler is not None:
+            raise ValueError(
+                "multiplexing and autoscaling are mutually exclusive")
+        if multiplex is not None and self.disaggregated:
+            raise ValueError(
+                "multiplexing and role-specialised replicas are "
+                "mutually exclusive; use mixed roles")
+        if multiplex is not None and self.heterogeneous:
+            raise ValueError(
+                "multiplexing and per-replica systems are mutually "
+                "exclusive")
+        if autoscaler is not None and self.disaggregated:
+            raise ValueError(
+                "autoscaling and role-specialised replicas are mutually "
+                "exclusive; use mixed roles")
+        scaler: Optional[ReactiveAutoscaler] = None
+        next_tick = math.inf
         if autoscaler is not None:
-            if self.disaggregated:
+            max_replicas = (autoscaler.max_replicas
+                            if autoscaler.max_replicas is not None
+                            else self.num_replicas)
+            if max_replicas > self.num_replicas:
                 raise ValueError(
-                    "autoscaling and role-specialised replicas are mutually "
-                    "exclusive; use mixed roles")
-            return self._serve_autoscaled(workload, router, max_num_seqs,
-                                          scheduling, speculative,
-                                          telemetry, autoscaler)
-        if self.disaggregated:
-            return self._serve_disaggregated(workload, router, max_num_seqs,
-                                             scheduling, speculative,
-                                             telemetry=telemetry)
-        tracers = self._replica_tracers(telemetry)
-        replicas = [EngineStepper(engine, scheduling=scheduling,
-                                  max_num_seqs=max_num_seqs,
-                                  speculative=speculative,
-                                  telemetry=tracer)
-                    for engine, tracer in zip(self.engines, tracers)]
-        assignments: List[List[Request]] = [[] for _ in replicas]
+                    f"max_replicas={max_replicas} exceeds the replica pool "
+                    f"(num_replicas={self.num_replicas})")
+            scaler = ReactiveAutoscaler(autoscaler, max_replicas)
+            next_tick = autoscaler.interval_s
 
-        for request in sorted(workload.requests,
-                              key=lambda r: (r.arrival_time, r.request_id)):
-            for replica in replicas:
-                replica.run_until(request.arrival_time)
-            index = router.route(request, replicas)
-            replicas[index].submit(request)
-            assignments[index].append(request)
-        for replica in replicas:
-            replica.run()
+        replicas = self._replicas(scheduling, max_num_seqs, speculative,
+                                  telemetry, multiplex)
+        pool = len(replicas)
+        steppers = [s for replica in replicas for s in replica.steppers]
+        #: Requests routed to, and migrations received by, each result slice.
+        assigned: Dict[int, List[Request]] = {id(s): [] for s in steppers}
+        migrated_in: Dict[int, int] = {id(s): 0 for s in steppers}
+        #: "stopped" | "starting" | "active" per replica; only an autoscaler
+        #: starts or stops replicas.
+        state = ["active" if scaler is None else "stopped"] * pool
+        ready_at = [0.0] * pool
+        windows: List[List[List[float]]] = [[] for _ in range(pool)]
+        seen_finished = [0] * pool
+        exporters = [(k, s) for k, s in enumerate(steppers) if s.migrate_out]
+        decode_idx = [k for k, role in enumerate(self.roles)
+                      if role == "decode"]
+        decode_router = (router if isinstance(router, DisaggregatedRouter)
+                         else DisaggregatedRouter())
+        #: (prefill completion time, tiebreak, source replica index, request)
+        #: — min-heap of finished prefills awaiting migration routing.
+        handoffs: List[Tuple[float, int, int, Request]] = []
+        tiebreak = itertools.count()
+        arrivals = sorted(workload.requests,
+                          key=lambda r: (r.arrival_time, r.request_id))
+        pos = 0
+        stalled = 0
 
-        return self._assemble(replicas, assignments,
-                              [0] * self.num_replicas)
+        def provision(k: int, start: float, ready: float) -> None:
+            # A replica cannot run before its weights land; a reactivated
+            # one also never rewinds its own clock.
+            replicas[k].sync_clock(ready)
+            ready_at[k] = ready
+            windows[k].append([start, None])
+            state[k] = "active" if ready <= start else "starting"
 
-    def _assemble(self, replicas: List[EngineStepper],
-                  assignments: List[List[Request]],
-                  migrations_in: List[int],
-                  engines: Optional[List[ServingEngine]] = None,
-                  roles: Optional[List[str]] = None,
-                  autoscale: Optional[AutoscaleReport] = None
-                  ) -> ClusterResult:
-        results = [replica.result(Workload(requests=assigned))
-                   for replica, assigned in zip(replicas, assignments)]
-        merged = ServingMetrics(
-            requests=[m for r in results if r.metrics is not None
-                      for m in r.metrics.requests])
-        engines = self.engines if engines is None else engines
-        roles = self.roles if roles is None else roles
-        return ClusterResult(
-            replica_results=results,
-            requests_per_replica=[len(a) for a in assignments],
-            metrics=merged,
-            replica_roles=list(roles),
-            migrations_per_replica=list(migrations_in),
-            replica_systems=[engine.system.name for engine in engines],
-            autoscale=autoscale,
-            gpus_per_replica=self.engine.tp_degree,
-        )
+        def advance(t: float) -> None:
+            for k in range(pool):
+                if state[k] != "stopped":
+                    replicas[k].run_until(t)
+            for k in range(pool):
+                if state[k] == "starting" and ready_at[k] <= t:
+                    state[k] = "active"
 
-    # ------------------------------------------------------------------
-    # Multiplexed serving
-    # ------------------------------------------------------------------
-    def _multiplex_tracers(self, telemetry: Union[None, bool, TelemetryConfig],
-                           config: MultiplexConfig
-                           ) -> List[Optional[Tracer]]:
-        """One tracer per (replica, model) stepper, flat in replica order.
+        def collect_handoffs() -> None:
+            for k, stepper in exporters:
+                while stepper.outbox:
+                    request = stepper.outbox.pop(0)
+                    heapq.heappush(handoffs, (request.prefill_done_time,
+                                              next(tiebreak), k, request))
 
-        Each stepper gets its own trace process named
-        ``replica<i>/<model>`` so a multiplexed Perfetto view separates
-        the co-resident models' iterations and swap windows.
-        """
-        names = [model.name for model in config.models]
-        flat = self.num_replicas * len(names)
-        if telemetry is None or telemetry is False:
-            return [None] * flat
-        if telemetry is True:
-            tconfig = TelemetryConfig()
-        elif isinstance(telemetry, TelemetryConfig):
-            tconfig = telemetry
-        else:
-            raise TypeError(
-                f"cluster telemetry must be None, bool or TelemetryConfig, "
-                f"got {type(telemetry).__name__}")
-        tracers: List[Optional[Tracer]] = []
-        for i in range(self.num_replicas):
-            for name in names:
-                tracers.append(Tracer(tconfig, replica_index=len(tracers),
-                                      replica_name=f"replica{i}/{name}"))
-        return tracers
+        def least_loaded(targets: List[int]) -> int:
+            return min(targets,
+                       key=lambda k: (replicas[k].outstanding_requests, k))
 
-    def _serve_multiplexed(self, workload: Workload, router: Router,
-                           max_num_seqs: Optional[int],
-                           scheduling: Optional[SchedulingConfig],
-                           speculative: Optional[SpeculativeConfig],
-                           telemetry: Union[None, bool, TelemetryConfig],
-                           config: MultiplexConfig) -> ClusterResult:
-        """Serve a multi-model workload on replicas that multiplex weights.
+        if autoscaler is not None:
+            for k in range(autoscaler.min_replicas):
+                provision(k, 0.0, 0.0)  # the initial fleet is pre-warmed
 
-        Every replica hosts one stepper per model in ``config.models``
-        (engines are shared across replicas per model — the cost model is
-        stateless) plus a :class:`~repro.serving.multiplex.ModelResidency`
-        that accounts weight memory against HBM and prices LRU swap-ins on
-        the shared clock.  The event loop mirrors static serving: advance
-        all replicas to each arrival, route against whole replicas, then
-        drain.  The result lists one slice per (replica, model);
-        ``physical_replicas`` keeps GPU-seconds priced by hardware.
-        """
-        base = self.engine
-        engines: Dict[str, ServingEngine] = {}
-        for model in config.models:
-            if model.name == base.model.name:
-                engines[model.name] = base
+        while True:
+            t_arrival = (arrivals[pos].arrival_time if pos < len(arrivals)
+                         else math.inf)
+            if handoffs and handoffs[0][0] <= t_arrival:
+                done_time, order, source, request = heapq.heappop(handoffs)
+                advance(done_time)
+                collect_handoffs()
+                if handoffs and handoffs[0][0] < done_time:
+                    # Advancing uncovered an earlier completion; keep the
+                    # event order honest and route that one first.
+                    heapq.heappush(handoffs, (done_time, order, source,
+                                              request))
+                    continue
+                target = steppers[decode_idx[decode_router.route_decode(
+                    request, [replicas[k] for k in decode_idx])]]
+                self.migrate_kv(request, steppers[source], target, done_time)
+                migrated_in[id(target)] += 1
+            elif pos < len(arrivals) and t_arrival <= next_tick:
+                request = arrivals[pos]
+                advance(t_arrival)
+                collect_handoffs()
+                if handoffs and handoffs[0][0] <= t_arrival:
+                    continue  # advancing uncovered an earlier completion
+                pos += 1
+                routable = [k for k in range(pool) if state[k] == "active"
+                            and self.roles[k] != "decode"]
+                index = routable[router.route(
+                    request, [replicas[k] for k in routable])]
+                assigned[id(replicas[index].submit(request))].append(request)
+            elif scaler is None and not exporters:
+                advance(math.inf)  # no more events: every replica runs dry
+                break
+            elif scaler is None:
+                # Disaggregated tail: step the busy replicas to surface the
+                # remaining prefill completions, or finish.  Replicas with
+                # running work go first — they are the only possible source
+                # of new events — so an idle replica does not leap to its
+                # own next availability past a completion still being
+                # computed elsewhere.
+                busy = [r for r in replicas if not r.done]
+                if not busy:
+                    break
+                active = [r for r in busy if r.scheduler.running]
+                progressed = False
+                for replica in (active or busy):
+                    progressed = replica.step() or progressed
+                if not progressed and active and len(active) < len(busy):
+                    # The active set stalled; let the idle replicas advance
+                    # to their own next availability.
+                    for replica in busy:
+                        progressed = replica.step() or progressed
+                collect_handoffs()
+                if not progressed and not handoffs:
+                    break  # only never-admittable requests remain
             else:
-                engines[model.name] = ServingEngine(
-                    model, base.gpu, base.system,
-                    max_seq_len=base.max_seq_len, parallel=base.parallel)
+                starting = "starting" in state
+                if pos == len(arrivals) and not starting and all(
+                        replicas[k].done for k in range(pool)
+                        if state[k] == "active"):
+                    break
+                live = [k for k in range(pool) if state[k] != "stopped"]
+                signature = [(replicas[k].now, replicas[k].iterations)
+                             for k in live]
+                advance(next_tick)
+                now, next_tick = next_tick, next_tick + autoscaler.interval_s
+                if pos == len(arrivals) and not starting:
+                    # Post-arrival drain tail: if no live replica progressed
+                    # over two full ticks, only never-admittable requests
+                    # remain — stop instead of ticking forever.
+                    progressed = signature != [
+                        (replicas[k].now, replicas[k].iterations)
+                        for k in live]
+                    stalled = 0 if progressed else stalled + 1
+                    if stalled >= 2:
+                        break
+                active = [k for k in range(pool) if state[k] == "active"]
+                recent_finished = recent_ok = 0
+                for k in active:
+                    finished = replicas[k].scheduler.finished
+                    for request in finished[seen_finished[k]:]:
+                        recent_finished += 1
+                        if (autoscaler.ttft_slo_s is None
+                                or request.first_token_time
+                                - request.arrival_time
+                                <= autoscaler.ttft_slo_s):
+                            recent_ok += 1
+                    seen_finished[k] = len(finished)
+                decision = scaler.decide(FleetSnapshot(
+                    now=now,
+                    num_active=len(active),
+                    num_starting=state.count("starting"),
+                    queue_depth=sum(len(replicas[k].scheduler.waiting)
+                                    for k in active),
+                    outstanding=sum(replicas[k].outstanding_requests
+                                    for k in active),
+                    recent_finished=recent_finished,
+                    recent_slo_ok=recent_ok,
+                ))
+                if decision is None:
+                    continue
+                action, reason = decision
+                if action == "up":
+                    k = state.index("stopped")
+                    provision(k, now, now + autoscaler.cold_start_s(
+                        self.engines[k].weight_bytes()))
+                else:
+                    # Drain the least-loaded replica: decoding requests move
+                    # with their KV state; a partial prefill is cheaper to
+                    # recompute than to ship, so prefilling requests are
+                    # preempted and rerouted with the waiting queue.
+                    k = min(active, key=lambda s: (
+                        replicas[s].outstanding_requests, -s))
+                    targets = [s for s in active if s != k]
+                    scheduler = replicas[k].scheduler
+                    for request in list(scheduler.running):
+                        if request.state is RequestState.DECODING:
+                            scheduler.export_request(request, now)
+                            target = replicas[least_loaded(targets)]
+                            self.migrate_kv(request, replicas[k], target, now)
+                            migrated_in[id(target)] += 1
+                    for request in list(scheduler.running):
+                        if request.state is RequestState.PREFILLING:
+                            scheduler.preempt(request, now)
+                    for request in scheduler.take_waiting():
+                        replicas[least_loaded(targets)].submit(request)
+                    state[k] = "stopped"
+                    windows[k][-1][1] = now
+                scaler.commit(ScalingEvent(now, action, k,
+                                           state.count("active"), reason))
+
+        used = range(pool)
+        autoscale = None
+        if autoscaler is not None:
+            # Results list only the replicas that were ever provisioned.
+            used = [k for k in range(pool) if windows[k]]
+            makespan = max(replicas[k].now for k in used)
+            for k in used:
+                if windows[k][-1][1] is None:
+                    windows[k][-1][1] = max(windows[k][-1][0], makespan)
+            autoscale = AutoscaleReport(
+                events=scaler.events,
+                windows=[[tuple(w) for w in windows[k]] for k in used],
+                cold_start_s=autoscaler.cold_start_s(
+                    self.engine.weight_bytes()),
+                gpus_per_replica=self.engine.tp_degree,
+                makespan_s=makespan,
+            )
+        return self._assemble([replicas[k] for k in used],
+                              [self.roles[k] for k in used],
+                              assigned, migrated_in, autoscale, multiplex)
+
+    def _replicas(self, scheduling: Optional[SchedulingConfig],
+                  max_num_seqs: Optional[int],
+                  speculative: Optional[SpeculativeConfig],
+                  telemetry: Union[None, bool, TelemetryConfig],
+                  multiplex: Optional[MultiplexConfig]) -> List:
+        """One replica per pool slot: an :class:`EngineStepper` traced as
+        ``replica<i>`` (plus its role when specialised), or under
+        ``multiplex`` a :class:`_MultiplexReplica` whose per-model steppers
+        (engines shared per model) trace as ``replica<i>/<model>``."""
+        if multiplex is None:
+            tracers = resolve_tracers(telemetry, [
+                f"replica{i}" if role == "mixed" else f"replica{i} ({role})"
+                for i, role in enumerate(self.roles)])
+            return [EngineStepper(engine, scheduling=scheduling,
+                                  max_num_seqs=max_num_seqs,
+                                  migrate_out=(role == "prefill"),
+                                  speculative=(None if role == "prefill"
+                                               else speculative),
+                                  telemetry=tracer)
+                    for engine, role, tracer in zip(self.engines, self.roles,
+                                                    tracers)]
+        base = self.engine
+        engines = {
+            model.name: (base if model.name == base.model.name
+                         else ServingEngine(model, base.gpu, base.system,
+                                            max_seq_len=base.max_seq_len,
+                                            parallel=base.parallel))
+            for model in multiplex.models}
         weight = {name: engine.weight_bytes()
                   for name, engine in engines.items()}
         workspace = {
@@ -1026,55 +1142,59 @@ class ClusterEngine:
                    * engine.system.activation_workspace_factor
                    + 1.0 * (1 << 30)) * engine.tp_degree
             for name, engine in engines.items()}
-
-        tracers = self._multiplex_tracers(telemetry, config)
-        replicas: List[_MultiplexReplica] = []
-        steppers_flat: List[EngineStepper] = []
-        engines_flat: List[ServingEngine] = []
-        for i in range(self.num_replicas):
-            residency = ModelResidency(config, base.gpu, weight, workspace,
+        tracers = iter(resolve_tracers(telemetry, [
+            f"replica{i}/{model.name}" for i in range(self.num_replicas)
+            for model in multiplex.models]))
+        replicas = []
+        for _ in range(self.num_replicas):
+            residency = ModelResidency(multiplex, base.gpu, weight, workspace,
                                        tp_degree=base.tp_degree)
-            steppers = []
-            for j, model in enumerate(config.models):
-                stepper = EngineStepper(
-                    engines[model.name], scheduling=scheduling,
-                    max_num_seqs=max_num_seqs, speculative=speculative,
-                    telemetry=tracers[i * len(config.models) + j],
-                    model_name=model.name,
-                    kv_capacity_bytes=residency.kv_pool_bytes())
-                steppers.append(stepper)
-                steppers_flat.append(stepper)
-                engines_flat.append(engines[model.name])
-            replicas.append(_MultiplexReplica(config, steppers, residency))
+            replicas.append(_MultiplexReplica(multiplex, [
+                EngineStepper(engines[model.name], scheduling=scheduling,
+                              max_num_seqs=max_num_seqs,
+                              speculative=speculative,
+                              telemetry=next(tracers),
+                              model_name=model.name,
+                              kv_capacity_bytes=residency.kv_pool_bytes())
+                for model in multiplex.models], residency))
+        return replicas
 
-        assignments: List[List[Request]] = [[] for _ in steppers_flat]
-        requests_by_model: Dict[str, int] = {
-            model.name: 0 for model in config.models}
-        slot = {id(stepper): k for k, stepper in enumerate(steppers_flat)}
-
-        for request in sorted(workload.requests,
-                              key=lambda r: (r.arrival_time, r.request_id)):
-            for replica in replicas:
-                replica.run_until(request.arrival_time)
-            target = router.route(request, replicas)
-            stepper = replicas[target].submit(request)
-            assignments[slot[id(stepper)]].append(request)
-            requests_by_model[replicas[target].resolve_model(request)] += 1
-        for replica in replicas:
-            replica.run()
-
-        result = self._assemble(steppers_flat, assignments,
-                                [0] * len(steppers_flat),
-                                engines=engines_flat,
-                                roles=["mixed"] * len(steppers_flat))
-        result.multiplex = MultiplexReport(
-            replicas=[replica.residency.snapshot() for replica in replicas],
-            requests_by_model=requests_by_model)
-        result.physical_replicas = self.num_replicas
+    def _assemble(self, replicas: List, roles: List[str],
+                  assigned: Dict[int, List[Request]],
+                  migrated_in: Dict[int, int],
+                  autoscale: Optional[AutoscaleReport],
+                  multiplex: Optional[MultiplexConfig]) -> ClusterResult:
+        """Aggregate every stepper's result slice into one result."""
+        steppers = [s for replica in replicas for s in replica.steppers]
+        assignments = [assigned[id(s)] for s in steppers]
+        results = [stepper.result(Workload(requests=requests))
+                   for stepper, requests in zip(steppers, assignments)]
+        merged = ServingMetrics(
+            requests=[m for r in results if r.metrics is not None
+                      for m in r.metrics.requests])
+        result = ClusterResult(
+            replica_results=results,
+            requests_per_replica=[len(a) for a in assignments],
+            metrics=merged,
+            replica_roles=[role for replica, role in zip(replicas, roles)
+                           for _ in replica.steppers],
+            migrations_per_replica=[migrated_in[id(s)] for s in steppers],
+            replica_systems=[s.engine.system.name for s in steppers],
+            autoscale=autoscale,
+            gpus_per_replica=self.engine.tp_degree,
+        )
+        if multiplex is not None:
+            requests_by_model = {model.name: 0 for model in multiplex.models}
+            for stepper, requests in zip(steppers, assignments):
+                requests_by_model[stepper.model_name] += len(requests)
+            result.multiplex = MultiplexReport(
+                replicas=[r.residency.snapshot() for r in replicas],
+                requests_by_model=requests_by_model)
+            result.physical_replicas = len(replicas)
         return result
 
     # ------------------------------------------------------------------
-    # Disaggregated serving
+    # KV migration
     # ------------------------------------------------------------------
     def transfer_delay(self, request: Request, cached_tokens: int = 0,
                        source: Optional[ServingEngine] = None,
@@ -1109,355 +1229,32 @@ class ClusterEngine:
         overlap = dst.decode_step(1, request.context_len).total
         return max(self.transfer_link.latency_s, raw - overlap)
 
-    def _serve_disaggregated(self, workload: Workload, router: Router,
-                             max_num_seqs: Optional[int],
-                             scheduling: Optional[SchedulingConfig],
-                             speculative: Optional[SpeculativeConfig] = None,
-                             telemetry: Union[None, bool,
-                                              TelemetryConfig] = None
-                             ) -> ClusterResult:
-        """Event-driven serving loop with prefill→decode migrations.
+    def migrate_kv(self, request: Request, source: EngineStepper,
+                   target: EngineStepper, now: float) -> None:
+        """Ship ``request``'s exported KV state from ``source`` to ``target``.
 
-        Two event streams interleave in time order: workload arrivals (routed
-        among the prefill-capable replicas) and prefill completions (each
-        migrating its request to a decode replica).  Before every routing
-        decision all replicas advance to the event instant, so both the
-        arrival router and the migration target choice observe live queue
-        state.  The migrated request is submitted with its
-        ``migration_ready_time`` set to completion + exposed transfer delay;
-        the target's scheduler admits it no earlier (the transfer occupies
-        the interconnect, not the GPU, so other decodes proceed meanwhile).
+        The one migration path, shared by prefill→decode handoffs and
+        autoscaler drains.  ``target`` admits the request once the priced
+        transfer lands; it occupies the interconnect, not the GPU, so other
+        decodes proceed meanwhile.
         """
-        tracers = self._replica_tracers(telemetry)
-        replicas = [EngineStepper(engine, scheduling=scheduling,
-                                  max_num_seqs=max_num_seqs,
-                                  migrate_out=(role == "prefill"),
-                                  speculative=(None if role == "prefill"
-                                               else speculative),
-                                  telemetry=tracer)
-                    for engine, role, tracer in zip(self.engines, self.roles,
-                                                    tracers)]
-        prefill_idx = [i for i, role in enumerate(self.roles)
-                       if role in ("prefill", "mixed")]
-        decode_idx = [i for i, role in enumerate(self.roles)
-                      if role == "decode"]
-        prefill_replicas = [replicas[i] for i in prefill_idx]
-        decode_replicas = [replicas[i] for i in decode_idx]
-        assignments: List[List[Request]] = [[] for _ in replicas]
-        migrations_in = [0] * self.num_replicas
-        arrivals = sorted(workload.requests,
-                          key=lambda r: (r.arrival_time, r.request_id))
-        arrival_pos = 0
-        #: (prefill completion time, tiebreak, source replica index, request)
-        #: — min-heap of finished prefills awaiting migration routing.  The
-        #: source index prices the transfer payload at the exporter's KV
-        #: precision in a heterogeneous fleet.
-        handoffs: List[Tuple[float, int, int, Request]] = []
-        tiebreak = itertools.count()
-
-        def drain_outboxes() -> None:
-            for source, replica in enumerate(replicas):
-                while replica.outbox:
-                    request = replica.outbox.pop(0)
-                    heapq.heappush(handoffs, (request.prefill_done_time,
-                                              next(tiebreak), source, request))
-
-        decode_router = (router if isinstance(router, DisaggregatedRouter)
-                         else DisaggregatedRouter())
-
-        def migrate(done_time: float, request: Request, source: int) -> None:
-            target = decode_idx[decode_router.route_decode(request,
-                                                           decode_replicas)]
-            # Pinning the target's matched prefix keeps the priced payload
-            # honest: the credited blocks cannot be evicted mid-transfer.
-            delay = self.transfer_delay(
-                request, replicas[target].pin_for_import(request),
-                source=self.engines[source], target=self.engines[target])
-            if request.demoted_hit_tokens:
-                # The pinned prefix includes blocks the target had demoted
-                # to the 4-bit tier; they are restored before decode adopts
-                # them, and the restore rides the transfer window.
-                delay += self.engines[target].kv_dequant_latency(
-                    request.demoted_hit_tokens)
-                request.demoted_hit_tokens = 0
-            request.migrations += 1
-            request.transfer_delay_s += delay
-            request.migration_ready_time = done_time + delay
-            target_tracer = replicas[target].tracer
-            if target_tracer is not None:
-                # The transfer occupies the interconnect toward the target
-                # replica for its exposed window; the span lands on the
-                # target's timeline, where the request decodes next.
-                target_tracer.transfer(request, done_time, done_time + delay)
-            replicas[target].submit(request)
-            migrations_in[target] += 1
-
-        while True:
-            drain_outboxes()
-            next_arrival = (arrivals[arrival_pos].arrival_time
-                            if arrival_pos < len(arrivals) else None)
-            next_handoff = handoffs[0][0] if handoffs else None
-            if next_handoff is not None and (next_arrival is None
-                                             or next_handoff <= next_arrival):
-                done_time, order, source, request = heapq.heappop(handoffs)
-                for replica in replicas:
-                    replica.run_until(done_time)
-                drain_outboxes()
-                if handoffs and handoffs[0][0] < done_time:
-                    # Advancing uncovered an earlier completion; keep the
-                    # event order honest and route that one first.
-                    heapq.heappush(handoffs, (done_time, order, source,
-                                              request))
-                    continue
-                migrate(done_time, request, source)
-            elif next_arrival is not None:
-                request = arrivals[arrival_pos]
-                for replica in replicas:
-                    replica.run_until(request.arrival_time)
-                drain_outboxes()
-                if handoffs and handoffs[0][0] <= request.arrival_time:
-                    continue  # advancing uncovered an earlier completion
-                arrival_pos += 1
-                index = prefill_idx[router.route(request, prefill_replicas)]
-                replicas[index].submit(request)
-                assignments[index].append(request)
-            else:
-                # No queued events: step the busy replicas to surface the
-                # remaining prefill completions, or finish.  Replicas with
-                # running work go first — they are the only possible source
-                # of new events — so an idle replica does not leap to its
-                # own next availability past a completion still being
-                # computed elsewhere.
-                busy = [r for r in replicas if not r.done]
-                if not busy:
-                    break
-                active = [r for r in busy if r.scheduler.running]
-                progressed = False
-                for replica in (active or busy):
-                    progressed = replica.step() or progressed
-                if not progressed and active and len(active) < len(busy):
-                    # The active set stalled; let the idle replicas advance
-                    # to their own next availability.
-                    for replica in busy:
-                        progressed = replica.step() or progressed
-                if not progressed:
-                    drain_outboxes()
-                    if not handoffs:
-                        break  # only never-admittable requests remain
-        return self._assemble(replicas, assignments, migrations_in)
-
-    # ------------------------------------------------------------------
-    # Autoscaled serving
-    # ------------------------------------------------------------------
-    def _serve_autoscaled(self, workload: Workload, router: Router,
-                          max_num_seqs: Optional[int],
-                          scheduling: Optional[SchedulingConfig],
-                          speculative: Optional[SpeculativeConfig],
-                          telemetry: Union[None, bool, TelemetryConfig],
-                          config: AutoscalerConfig) -> ClusterResult:
-        """Event loop with a reactive autoscaler on the shared clock.
-
-        ``num_replicas`` is the replica *pool*; slots are provisioned and
-        drained by the controller.  Three event streams interleave in time
-        order: workload arrivals (routed among the *serving* replicas),
-        cold-start completions (a provisioned slot starts serving), and the
-        controller's evaluation ticks every ``interval_s``.  A scale-up
-        decision at ``t`` provisions the lowest stopped slot, which serves
-        from ``t + cold_start_s`` — its window (and GPU bill) starts at
-        ``t``, when the GPU is held to load weights.  A scale-down drains
-        the least-loaded serving replica through the migration machinery:
-        decoding requests move to the remaining replicas with their KV
-        state priced on the wire (exactly a prefill→decode handoff),
-        prefilling ones are preempted and recomputed elsewhere, and the
-        waiting queue is rerouted.  Ticks continue after the last arrival
-        so the fleet also scales down through the drain tail.
-        """
-        pool = self.num_replicas
-        max_replicas = (pool if config.max_replicas is None
-                        else config.max_replicas)
-        if max_replicas > pool:
-            raise ValueError(
-                f"max_replicas={max_replicas} exceeds the replica pool "
-                f"(num_replicas={pool})")
-        scaler = ReactiveAutoscaler(config, max_replicas)
-        cold_start = config.cold_start_s(self.engine.weight_bytes())
-        tracers = self._replica_tracers(telemetry)
-        steppers: List[Optional[EngineStepper]] = [None] * pool
-        #: "stopped" | "starting" | "active" per slot.
-        state = ["stopped"] * pool
-        ready_at = [0.0] * pool
-        windows: List[List[List[float]]] = [[] for _ in range(pool)]
-        assignments: List[List[Request]] = [[] for _ in range(pool)]
-        migrations_in = [0] * pool
-        seen_finished = [0] * pool
-
-        def provision(slot: int, start: float, ready: float) -> None:
-            stepper = steppers[slot]
-            if stepper is None:
-                stepper = EngineStepper(self.engines[slot],
-                                        scheduling=scheduling,
-                                        max_num_seqs=max_num_seqs,
-                                        speculative=speculative,
-                                        telemetry=tracers[slot])
-                steppers[slot] = stepper
-            # A replica cannot run before its weights land; a reactivated
-            # slot also never rewinds its own clock.
-            stepper.now = max(stepper.now, ready)
-            ready_at[slot] = ready
-            windows[slot].append([start, None])
-            state[slot] = "active" if ready <= start else "starting"
-
-        for slot in range(config.min_replicas):
-            provision(slot, 0.0, 0.0)  # the initial fleet is pre-warmed
-
-        def live_slots() -> List[int]:
-            return [s for s in range(pool) if state[s] != "stopped"]
-
-        def active_slots() -> List[int]:
-            return [s for s in range(pool) if state[s] == "active"]
-
-        def advance(t: float) -> None:
-            for s in live_slots():
-                steppers[s].run_until(t)
-            for s in range(pool):
-                if state[s] == "starting" and ready_at[s] <= t:
-                    state[s] = "active"
-
-        def least_loaded(targets: List[int]) -> int:
-            return min(targets,
-                       key=lambda s: (steppers[s].outstanding_requests, s))
-
-        def drain(slot: int, now: float, targets: List[int]) -> None:
-            stepper = steppers[slot]
-            scheduler = stepper.scheduler
-            scheduler._clock = now  # drain spans land at the decision time
-            for request in list(scheduler.running):
-                if request.state is RequestState.DECODING:
-                    scheduler.export_request(request)
-                    target = least_loaded(targets)
-                    delay = self.transfer_delay(
-                        request, steppers[target].pin_for_import(request),
-                        source=self.engines[slot],
-                        target=self.engines[target])
-                    if request.demoted_hit_tokens:
-                        delay += self.engines[target].kv_dequant_latency(
-                            request.demoted_hit_tokens)
-                        request.demoted_hit_tokens = 0
-                    request.migrations += 1
-                    request.transfer_delay_s += delay
-                    request.migration_ready_time = now + delay
-                    target_tracer = steppers[target].tracer
-                    if target_tracer is not None:
-                        target_tracer.transfer(request, now, now + delay)
-                    steppers[target].submit(request)
-                    migrations_in[target] += 1
-            for request in list(scheduler.running):
-                if request.state is RequestState.PREFILLING:
-                    # Partial prefill is cheaper to recompute than to ship;
-                    # the request re-prefills on whichever replica admits it.
-                    scheduler._preempt(request)
-            rerouted = scheduler.waiting
-            scheduler.waiting = []
-            for request in rerouted:
-                steppers[least_loaded(targets)].submit(request)
-
-        arrivals = sorted(workload.requests,
-                          key=lambda r: (r.arrival_time, r.request_id))
-        pos = 0
-        next_tick = config.interval_s
-        stalled = 0
-        while True:
-            next_arrival = (arrivals[pos].arrival_time
-                            if pos < len(arrivals) else None)
-            starting = any(state[s] == "starting" for s in range(pool))
-            busy = any(not steppers[s].done for s in active_slots())
-            if next_arrival is None and not busy and not starting:
-                break
-            if next_arrival is not None and next_arrival <= next_tick:
-                advance(next_arrival)
-                request = arrivals[pos]
-                pos += 1
-                slots = active_slots()
-                view = [steppers[s] for s in slots]
-                index = slots[router.route(request, view)]
-                steppers[index].submit(request)
-                assignments[index].append(request)
-                continue
-            # Controller tick.
-            signature = tuple((steppers[s].now, steppers[s].iterations)
-                              for s in live_slots())
-            advance(next_tick)
-            now, next_tick = next_tick, next_tick + config.interval_s
-            if next_arrival is None and not starting:
-                # Post-arrival drain tail: if no live replica progressed
-                # over two full ticks, only never-admittable requests
-                # remain — stop instead of ticking forever.
-                progressed = signature != tuple(
-                    (steppers[s].now, steppers[s].iterations)
-                    for s in live_slots())
-                stalled = 0 if progressed else stalled + 1
-                if stalled >= 2:
-                    break
-            slots = active_slots()
-            recent_finished = recent_ok = 0
-            for s in slots:
-                finished = steppers[s].scheduler.finished
-                for request in finished[seen_finished[s]:]:
-                    recent_finished += 1
-                    if (config.ttft_slo_s is None
-                            or request.first_token_time - request.arrival_time
-                            <= config.ttft_slo_s):
-                        recent_ok += 1
-                seen_finished[s] = len(finished)
-            snapshot = FleetSnapshot(
-                now=now,
-                num_active=len(slots),
-                num_starting=sum(1 for s in range(pool)
-                                 if state[s] == "starting"),
-                queue_depth=sum(len(steppers[s].scheduler.waiting)
-                                for s in slots),
-                outstanding=sum(steppers[s].outstanding_requests
-                                for s in slots),
-                recent_finished=recent_finished,
-                recent_slo_ok=recent_ok,
-            )
-            decision = scaler.decide(snapshot)
-            if decision is None:
-                continue
-            action, reason = decision
-            if action == "up":
-                slot = min(s for s in range(pool) if state[s] == "stopped")
-                provision(slot, now,
-                          now + config.cold_start_s(
-                              self.engines[slot].weight_bytes()))
-                scaler.commit(ScalingEvent(now, "up", slot,
-                                           len(active_slots()), reason))
-            else:
-                slot = min(slots, key=lambda s:
-                           (steppers[s].outstanding_requests, -s))
-                targets = [s for s in slots if s != slot]
-                drain(slot, now, targets)
-                state[slot] = "stopped"
-                windows[slot][-1][1] = now
-                scaler.commit(ScalingEvent(now, "down", slot,
-                                           len(active_slots()), reason))
-
-        used = [s for s in range(pool) if steppers[s] is not None]
-        makespan = max(steppers[s].now for s in used)
-        for s in used:
-            if windows[s] and windows[s][-1][1] is None:
-                windows[s][-1][1] = max(windows[s][-1][0], makespan)
-        report = AutoscaleReport(
-            events=scaler.events,
-            windows=[[tuple(w) for w in windows[s]] for s in used],
-            cold_start_s=cold_start,
-            gpus_per_replica=self.engine.tp_degree,
-            makespan_s=makespan,
-        )
-        return self._assemble(
-            [steppers[s] for s in used],
-            [assignments[s] for s in used],
-            [migrations_in[s] for s in used],
-            engines=[self.engines[s] for s in used],
-            roles=["mixed"] * len(used),
-            autoscale=report)
+        # Pinning the target's matched prefix keeps the priced payload
+        # honest: the credited blocks cannot be evicted mid-transfer.
+        delay = self.transfer_delay(request, target.pin_for_import(request),
+                                    source=source.engine, target=target.engine)
+        if request.demoted_hit_tokens:
+            # The pinned prefix includes blocks the target had demoted to
+            # the 4-bit tier; they are restored before decode adopts them,
+            # and the restore rides the transfer window.
+            delay += target.engine.kv_dequant_latency(
+                request.demoted_hit_tokens)
+            request.demoted_hit_tokens = 0
+        request.migrations += 1
+        request.transfer_delay_s += delay
+        request.migration_ready_time = now + delay
+        if target.tracer is not None:
+            # The transfer occupies the interconnect toward the target
+            # replica for its exposed window; the span lands on the
+            # target's timeline, where the request decodes next.
+            target.tracer.transfer(request, now, now + delay)
+        target.submit(request)

@@ -83,6 +83,7 @@ from repro.serving.telemetry import (
     TelemetryConfig,
     Tracer,
     collect_counters,
+    resolve_tracers,
 )
 
 __all__ = ["StepBreakdown", "ServingResult", "ServingEngine", "EngineStepper"]
@@ -93,21 +94,6 @@ _STEP_OVERHEAD_S = 100e-6
 
 #: Guard against a non-terminating serving loop (scheduler/planner bugs).
 _MAX_ITERATIONS = 10_000_000
-
-
-def _resolve_tracer(telemetry: Union[None, bool, TelemetryConfig, Tracer]
-                    ) -> Optional[Tracer]:
-    """Normalize the ``telemetry=`` argument accepted by serve()/stepper."""
-    if telemetry is None or telemetry is False:
-        return None
-    if telemetry is True:
-        return Tracer()
-    if isinstance(telemetry, TelemetryConfig):
-        return Tracer(telemetry)
-    if isinstance(telemetry, Tracer):
-        return telemetry
-    raise TypeError(f"telemetry must be None, bool, TelemetryConfig or "
-                    f"Tracer, got {type(telemetry).__name__}")
 
 
 @dataclass
@@ -714,7 +700,8 @@ class EngineStepper:
         #: Telemetry recorder; ``None`` (the default) records nothing and
         #: keeps the loop's hot path free of tracing work beyond one pointer
         #: test per hook site.
-        self.tracer: Optional[Tracer] = _resolve_tracer(telemetry)
+        self.tracer: Optional[Tracer] = resolve_tracers(
+            telemetry, ["replica0"])[0]
         #: Prefill-role behaviour (disaggregated serving): the instant a
         #: request completes its prefill it is exported from the scheduler
         #: and parked in :attr:`outbox` for the cluster to migrate, so this
@@ -784,11 +771,17 @@ class EngineStepper:
         self._guard = 0
 
     # ------------------------------------------------------------------
-    def submit(self, requests) -> None:
-        """Queue more requests (a list, or one request) for this run."""
+    def submit(self, requests) -> "EngineStepper":
+        """Queue more requests (a list, or one request); returns ``self``."""
         if isinstance(requests, Request):
             requests = [requests]
         self.scheduler.submit(list(requests))
+        return self
+
+    @property
+    def steppers(self) -> List["EngineStepper"]:
+        """The result slices this replica contributes to a cluster: itself."""
+        return [self]
 
     @property
     def done(self) -> bool:
@@ -987,15 +980,11 @@ class EngineStepper:
         if self.migrate_out:
             # Prefill role: anything that just completed its prefill (state
             # DECODING, before any decode step could be planned for it) is
-            # exported for migration to a decode replica.
-            if self.tracer is not None:
-                # Prefill replicas run no decode step, so the scheduler's
-                # stashed clock is still the pre-iteration instant; exports
-                # happen *after* this iteration's latency elapsed.
-                scheduler._clock = self.now
+            # exported for migration to a decode replica, at the end of this
+            # iteration.
             for request in list(scheduler.running):
                 if request.state is RequestState.DECODING:
-                    scheduler.export_request(request)
+                    scheduler.export_request(request, self.now)
                     self.outbox.append(request)
         if self.tracer is not None:
             self.tracer.iteration(

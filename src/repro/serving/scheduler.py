@@ -117,8 +117,8 @@ class ContinuousBatchingScheduler:
     #: so a mistagged request would silently produce another model's tokens.
     model_name: Optional[str] = None
     #: Clock of the current scheduling pass, stashed by :meth:`admit` for the
-    #: hooks on methods that do not receive ``now`` (preemption, export) —
-    #: both run at the same simulated instant as the admission pass.
+    #: preemptions :meth:`prepare_decode` makes — it does not receive
+    #: ``now`` and runs at the same simulated instant as the admission pass.
     _clock: float = field(default=0.0, repr=False)
 
     def submit(self, requests: List[Request]) -> None:
@@ -452,7 +452,7 @@ class ContinuousBatchingScheduler:
         self.kv_manager.free(request.request_id)
         self.running.remove(request)
 
-    def _preempt(self, request: Request) -> None:
+    def preempt(self, request: Request, now: float) -> None:
         """Reclaim a running request's private pages and return it to the queue.
 
         Shared blocks are only de-referenced, never freed here: another
@@ -473,13 +473,13 @@ class ContinuousBatchingScheduler:
         bisect.insort(self.waiting, request, key=_waiting_key)
         self.num_preemptions += 1
         if self.tracer is not None:
-            self.tracer.request_preempted(request, self._clock)
+            self.tracer.request_preempted(request, now)
 
     # ------------------------------------------------------------------
     # Disaggregated handoff
     # ------------------------------------------------------------------
-    def export_request(self, request: Request) -> None:
-        """Hand an in-flight request off to another replica (prefill→decode).
+    def export_request(self, request: Request, now: float) -> None:
+        """Hand an in-flight request off to another replica at ``now``.
 
         Called by a prefill-role replica the instant a prefill completes: the
         request leaves the running batch in the ``MIGRATING`` state and its
@@ -496,7 +496,12 @@ class ContinuousBatchingScheduler:
         request.state = RequestState.MIGRATING
         request.kv_ready = True
         if self.tracer is not None:
-            self.tracer.request_exported(request, self._clock)
+            self.tracer.request_exported(request, now)
+
+    def take_waiting(self) -> List[Request]:
+        """Remove and return the whole waiting queue (in queue order)."""
+        waiting, self.waiting = self.waiting, []
+        return waiting
 
     def prepare_decode(self, lookahead: Optional[Callable[[Request], int]] = None
                        ) -> List[Request]:
@@ -554,7 +559,7 @@ class ContinuousBatchingScheduler:
                 if victim is None:
                     # Nothing lower-priority left to evict.
                     if survivors or len(self.running) > 1:
-                        self._preempt(request)
+                        self.preempt(request, self._clock)
                         preempted_self = True
                         break
                     raise PageAllocationError(
@@ -562,7 +567,7 @@ class ContinuousBatchingScheduler:
                         f"{claim} tokens of KV cache but the "
                         f"device holds only "
                         f"{kv_manager.total_pages * kv_manager.page_size}")
-                self._preempt(victim)
+                self.preempt(victim, self._clock)
             if not preempted_self:
                 if kv_manager.needs_pages(request.request_id, claim,
                                           request.shared_kv_pages):

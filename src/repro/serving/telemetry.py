@@ -59,6 +59,7 @@ __all__ = [
     "CounterRegistry",
     "collect_counters",
     "Tracer",
+    "resolve_tracers",
     "PHASES",
     "chrome_trace",
     "write_chrome_trace",
@@ -605,6 +606,28 @@ class Tracer:
     def chrome_trace(self) -> Dict:
         """Single-replica convenience wrapper around :func:`chrome_trace`."""
         return chrome_trace([self])
+
+
+def resolve_tracers(telemetry: Union[None, bool, TelemetryConfig, Tracer],
+                    names: Sequence[str]) -> List[Optional[Tracer]]:
+    """Turn a ``telemetry=`` argument into one tracer per named replica.
+
+    ``None``/``False`` trace nothing; ``True`` or a :class:`TelemetryConfig`
+    build one :class:`Tracer` per name, whose position in ``names`` becomes
+    its trace pid.  A pre-built :class:`Tracer` serves a single replica only.
+    """
+    if telemetry is None or telemetry is False:
+        return [None] * len(names)
+    if isinstance(telemetry, Tracer) and len(names) == 1:
+        return [telemetry]
+    if telemetry is True:
+        telemetry = TelemetryConfig()
+    if not isinstance(telemetry, TelemetryConfig):
+        raise TypeError(
+            f"telemetry must be None, bool, TelemetryConfig or (for a single "
+            f"replica) a Tracer, got {type(telemetry).__name__}")
+    return [Tracer(telemetry, replica_index=i, replica_name=name)
+            for i, name in enumerate(names)]
 
 
 # ----------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_export_requires_completed_prefill(llama7b):
     request = Request(request_id=0, prompt_len=128, output_len=16)
     stepper.submit(request)
     with pytest.raises(ValueError):
-        stepper.scheduler.export_request(request)    # still WAITING
+        stepper.scheduler.export_request(request, 0.0)    # still WAITING
 
 
 # ----------------------------------------------------------------------

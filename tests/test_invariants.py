@@ -1,9 +1,10 @@
 """Property-based invariant suite over randomized serving scenarios.
 
 The unit suites pin exact behaviour on hand-built cases; this suite attacks
-the simulator from the other side.  A seeded generator (hand-rolled — the
-container has no ``hypothesis``) samples serving scenarios across the whole
-feature matrix — workload shape, scheduling preset (chunked prefill,
+the simulator from the other side.  A seeded, hand-rolled generator
+(it does not shrink failures the way ``hypothesis``, a ``test`` extra,
+would) samples serving scenarios across the whole feature
+matrix — workload shape, scheduling preset (chunked prefill,
 preemption, prefix caching, SLO tiers, shedding), speculative decoding,
 single engine vs. static cluster vs. autoscaled fleet vs. disaggregated
 prefill/decode vs. multiplexed multi-model fleet — and every scenario is
