@@ -105,7 +105,7 @@ from repro.serving.multiplex import (
 from repro.serving.parallel import ParallelConfig
 from repro.serving.policies import SchedulingConfig
 from repro.serving.precision import SystemConfig, get_system
-from repro.serving.request import Request, RequestState, Workload
+from repro.serving.request import Request, Workload
 from repro.serving.speculative import SpeculativeConfig
 from repro.serving.telemetry import (
     CounterRegistry,
@@ -998,7 +998,7 @@ class ClusterEngine:
                 busy = [r for r in replicas if not r.done]
                 if not busy:
                     break
-                active = [r for r in busy if r.scheduler.running]
+                active = [r for r in busy if r.scheduler.num_running]
                 progressed = False
                 for replica in (active or busy):
                     progressed = replica.step() or progressed
@@ -1070,15 +1070,13 @@ class ClusterEngine:
                         replicas[s].outstanding_requests, -s))
                     targets = [s for s in active if s != k]
                     scheduler = replicas[k].scheduler
-                    for request in list(scheduler.running):
-                        if request.state is RequestState.DECODING:
-                            scheduler.export_request(request, now)
-                            target = replicas[least_loaded(targets)]
-                            self.migrate_kv(request, replicas[k], target, now)
-                            migrated_in[id(target)] += 1
-                    for request in list(scheduler.running):
-                        if request.state is RequestState.PREFILLING:
-                            scheduler.preempt(request, now)
+                    for request in list(scheduler.decoding):
+                        scheduler.export_request(request, now)
+                        target = replicas[least_loaded(targets)]
+                        self.migrate_kv(request, replicas[k], target, now)
+                        migrated_in[id(target)] += 1
+                    for request in list(scheduler.prefilling):
+                        scheduler.preempt(request, now)
                     for request in scheduler.take_waiting():
                         replicas[least_loaded(targets)].submit(request)
                     state[k] = "stopped"

@@ -792,14 +792,14 @@ class EngineStepper:
     @property
     def outstanding_requests(self) -> int:
         """Requests accepted but not yet finished (waiting + running)."""
-        return len(self.scheduler.waiting) + len(self.scheduler.running)
+        return len(self.scheduler.waiting) + self.scheduler.num_running
 
     @property
     def pending_prefill_tokens(self) -> int:
         """Prefill (or recompute) tokens still owed to queued/prefilling requests."""
         scheduler = self.scheduler
         return (sum(r.prefill_remaining for r in scheduler.waiting)
-                + sum(r.prefill_remaining for r in scheduler.prefilling_requests()))
+                + sum(r.prefill_remaining for r in scheduler.prefilling))
 
     def cached_prefix_tokens(self, request: Request) -> int:
         """Prompt tokens this replica's prefix cache would serve ``request``.
@@ -861,7 +861,7 @@ class EngineStepper:
         this to pick which model's stepper owns the GPU next.
         """
         scheduler = self.scheduler
-        if scheduler.running:
+        if scheduler.num_running:
             return self.now
         if not scheduler.waiting:
             return None
@@ -978,14 +978,12 @@ class EngineStepper:
         for request, tokens in plan.prefill_chunks:
             scheduler.record_prefill(request, tokens, self.now)
         if self.migrate_out:
-            # Prefill role: anything that just completed its prefill (state
-            # DECODING, before any decode step could be planned for it) is
-            # exported for migration to a decode replica, at the end of this
-            # iteration.
-            for request in list(scheduler.running):
-                if request.state is RequestState.DECODING:
-                    scheduler.export_request(request, self.now)
-                    self.outbox.append(request)
+            # Prefill role: every request that just completed its prefill —
+            # the whole decoding list, as none decodes here — migrates to a
+            # decode replica at the end of this iteration.
+            for request in list(scheduler.decoding):
+                scheduler.export_request(request, self.now)
+                self.outbox.append(request)
         if self.tracer is not None:
             self.tracer.iteration(
                 t0, self.now, sum(t for _, t in plan.prefill_chunks),

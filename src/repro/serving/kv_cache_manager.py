@@ -203,24 +203,9 @@ class PagedKVCacheManager:
         """Fresh pages a grow-to-``num_tokens`` allocation would consume.
 
         ``shared_pages`` of the request's footprint are covered by the prefix
-        cache's shared pool and need no private allocation.
-        """
-        target = self.pages_for_tokens(num_tokens) - shared_pages
-        return target - self._allocated.get(request_id, 0)
-
-    def can_allocate(self, request_id: int, num_tokens: int,
-                     shared_pages: int = 0) -> bool:
-        return self.pages_needed(request_id, num_tokens,
-                                 shared_pages) <= self.free_pages
-
-    def needs_pages(self, request_id: int, num_tokens: int,
-                    shared_pages: int = 0) -> bool:
-        """Whether growing to ``num_tokens`` needs at least one fresh page.
-
-        Exactly ``pages_needed(...) > 0``, flattened into one call — this is
-        the probe the decode loops make for every running request on every
-        iteration, and almost always answer "no" (a decode crosses a page
-        boundary once every ``page_size`` steps).
+        cache's shared pool and need no private allocation.  The decode loops
+        probe this for every decoding request on every iteration, so
+        :meth:`pages_for_tokens` is inlined rather than called.
         """
         if num_tokens <= 0:
             target = 0
@@ -228,7 +213,7 @@ class PagedKVCacheManager:
             target = -(-num_tokens // self.page_size)
         else:
             target = -(-self.max_seq_len // self.page_size)
-        return target - shared_pages > self._allocated.get(request_id, 0)
+        return target - shared_pages - self._allocated.get(request_id, 0)
 
     def allocate(self, request_id: int, num_tokens: int,
                  shared_pages: int = 0) -> int:

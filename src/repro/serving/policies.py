@@ -246,7 +246,7 @@ class ChunkedPrefillPlanner(IterationPlanner):
             decode_tokens = sum(self.decode_token_weight(r) for r in decode)
         budget = max(0, self.token_budget - decode_tokens)
         chunks: List[Tuple[Request, int]] = []
-        for request in scheduler.prefilling_requests():
+        for request in scheduler.prefilling:
             if budget <= 0:
                 break
             tokens = min(request.prefill_remaining, budget)

@@ -201,11 +201,6 @@ class PrefixCache:
         """Blocks currently cached (referenced or not)."""
         return len(self._nodes)
 
-    @property
-    def unreferenced_pages(self) -> int:
-        """Cached blocks no running request references (eviction candidates)."""
-        return sum(1 for node in self._nodes.values() if node.ref_count == 0)
-
     def evictable_pages(self, protect: Iterable["_RadixNode"] = ()) -> int:
         """Pages :meth:`evict` could reclaim right now, leaves-first.
 

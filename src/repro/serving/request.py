@@ -149,6 +149,9 @@ class Request:
     #: Simulation time tier-aware admission dropped the request (load
     #: shedding); ``None`` for requests that were never dropped.
     drop_time: Optional[float] = None
+    #: Position in the admitting scheduler's admission order (restamped at
+    #: every admission); keys its prefilling/decoding lists.
+    admission_seq: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.prompt_len <= 0 or self.output_len <= 0:

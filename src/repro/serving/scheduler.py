@@ -42,8 +42,10 @@ batch directly.  See :mod:`repro.serving.cluster` for the transfer pricing.
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from repro.serving.kv_cache_manager import PagedKVCacheManager, PageAllocationError
 from repro.serving.policies import FCFSPolicy, SchedulerPolicy
@@ -65,6 +67,9 @@ def _waiting_key(request: Request):
     return (request.available_time, request.request_id)
 
 
+_admission_seq = operator.attrgetter("admission_seq")
+
+
 @dataclass
 class ContinuousBatchingScheduler:
     """Policy-driven continuous-batching scheduler over a paged KV cache."""
@@ -75,7 +80,12 @@ class ContinuousBatchingScheduler:
     preemption: bool = False
     prefix_cache: Optional[PrefixCache] = None
     waiting: List[Request] = field(default_factory=list)
-    running: List[Request] = field(default_factory=list)
+    #: The admitted requests, partitioned by state: ``prefilling`` holds
+    #: exactly the PREFILLING ones and ``decoding`` exactly the DECODING
+    #: ones, each in admission order (``Request.admission_seq``), so a step
+    #: walks only the list it needs.
+    prefilling: List[Request] = field(default_factory=list)
+    decoding: List[Request] = field(default_factory=list)
     finished: List[Request] = field(default_factory=list)
     num_preemptions: int = 0
     recomputed_prefill_tokens: int = 0
@@ -120,6 +130,8 @@ class ContinuousBatchingScheduler:
     #: preemptions :meth:`prepare_decode` makes — it does not receive
     #: ``now`` and runs at the same simulated instant as the admission pass.
     _clock: float = field(default=0.0, repr=False)
+    _admissions: Iterator[int] = field(default_factory=itertools.count,
+                                       repr=False)
 
     def submit(self, requests: List[Request]) -> None:
         """Add requests to the waiting queue (sorted by availability time).
@@ -188,7 +200,7 @@ class ContinuousBatchingScheduler:
         waiting = self.waiting
         if not waiting:
             return []
-        if len(self.running) >= self.max_num_seqs:
+        if self.num_running >= self.max_num_seqs:
             # Cap reached before anything could be admitted: the full scan
             # would block every arrived request and leave the (sorted) queue
             # unchanged.
@@ -220,7 +232,7 @@ class ContinuousBatchingScheduler:
             order = sorted(order, key=lambda r: self._tier_rank(r, now))
         for request in order:
             if (self.tier_admission and self._tier_rank(request, now)
-                    and self._tier_pressure(len(admitted))):
+                    and self._tier_pressure()):
                 # Deferred free-tier request: a constant-time pre-screen, not
                 # an admission scan — it must not inflate
                 # ``admission_scanned_requests`` (the request was never
@@ -228,7 +240,7 @@ class ContinuousBatchingScheduler:
                 self.tier_deferrals += 1
                 continue
             self.admission_scanned_requests += 1
-            if len(self.running) + len(admitted) >= self.max_num_seqs:
+            if self.num_running >= self.max_num_seqs:
                 # The cap blocks this and every later request (nothing below
                 # can admit once it is reached), so stop scanning.
                 break
@@ -279,14 +291,9 @@ class ContinuousBatchingScheduler:
                     # not admit this request but would destroy every other
                     # request's reuse.
                     self.prefix_cache.evict(shortfall, protect=cached_nodes)
-            if promote_need:
-                fits = (self.kv_manager.pages_needed(
-                    request.request_id, tokens, shared_pages) + promote_need
-                    <= self.kv_manager.free_pages)
-            else:
-                fits = self.kv_manager.can_allocate(request.request_id,
-                                                    tokens, shared_pages)
-            if fits:
+            if (self.kv_manager.pages_needed(request.request_id, tokens,
+                                             shared_pages) + promote_need
+                    <= self.kv_manager.free_pages):
                 if request.kv_ready:
                     # The uncached pages' contents arrive via KV transfer.
                     self.kv_manager.adopt(request.request_id, tokens,
@@ -298,6 +305,9 @@ class ContinuousBatchingScheduler:
                     self.prefix_cache.acquire(request, cached_nodes,
                                               count_stats=not request.kv_ready)
                 self._begin_prefill(request, now)
+                request.admission_seq = next(self._admissions)
+                (self.decoding if request.state is RequestState.DECODING
+                 else self.prefilling).append(request)
                 admitted.append(request)
             elif not self.policy.allow_bypass:
                 break
@@ -311,7 +321,6 @@ class ContinuousBatchingScheduler:
         admitted_ids = {id(r) for r in admitted}
         self.waiting = [r for r in arrived
                         if id(r) not in admitted_ids] + pending
-        self.running.extend(admitted)
         return [r for r in admitted if r.state is RequestState.PREFILLING]
 
     # ------------------------------------------------------------------
@@ -328,16 +337,16 @@ class ContinuousBatchingScheduler:
             return 0
         return 1 if now - request.available_time < self.tier_aging_s else 0
 
-    def _tier_pressure(self, extra_seqs: int = 0) -> bool:
+    def _tier_pressure(self) -> bool:
         """Is the replica under page or queue pressure right now?
 
-        ``extra_seqs`` counts requests admitted earlier in the same pass, so
-        pressure can develop mid-scan as admissions consume slots and pages.
+        Admissions join the running lists at once, so pressure can develop
+        mid-scan as they consume slots and pages.
         """
         kv = self.kv_manager
         if kv.free_pages < self.free_tier_page_headroom * kv.total_pages:
             return True
-        open_slots = self.max_num_seqs - len(self.running) - extra_seqs
+        open_slots = self.max_num_seqs - self.num_running
         return open_slots <= self.free_tier_seq_headroom * self.max_num_seqs
 
     def _shed_free_tier(self, now: float) -> None:
@@ -419,6 +428,8 @@ class ContinuousBatchingScheduler:
             raise ValueError(f"request {request.request_id} is not prefilling")
         request.prefilled += tokens
         if request.prefilled >= request.prefill_target:
+            self._unlist(request)
+            bisect.insort(self.decoding, request, key=_admission_seq)
             request.state = RequestState.DECODING
             request.prefill_done_time = now
             if self.prefix_cache is not None:
@@ -429,9 +440,8 @@ class ContinuousBatchingScheduler:
 
     def complete_prefill(self, now: float) -> None:
         """Finish the prefill of every prefilling request (legacy stall path)."""
-        for request in self.running:
-            if request.state is RequestState.PREFILLING:
-                self.record_prefill(request, request.prefill_remaining, now)
+        for request in list(self.prefilling):
+            self.record_prefill(request, request.prefill_remaining, now)
 
     # ------------------------------------------------------------------
     # Preemption
@@ -450,7 +460,17 @@ class ContinuousBatchingScheduler:
         request.shared_kv_pages = 0
         request.demoted_hit_tokens = 0
         self.kv_manager.free(request.request_id)
-        self.running.remove(request)
+        self._unlist(request)
+
+    def _unlist(self, request: Request) -> None:
+        """Remove a running request from its state's list, by identity."""
+        requests = (self.prefilling if request.state is RequestState.PREFILLING
+                    else self.decoding)
+        i = bisect.bisect_left(requests, request.admission_seq,
+                               key=_admission_seq)
+        if i == len(requests) or requests[i] is not request:
+            raise ValueError(f"request {request.request_id} is not running")
+        del requests[i]
 
     def preempt(self, request: Request, now: float) -> None:
         """Reclaim a running request's private pages and return it to the queue.
@@ -518,23 +538,30 @@ class ContinuousBatchingScheduler:
         whole speculated block optimistically; tokens rejected at
         verification are trimmed back by :meth:`record_decode_step`, keeping
         page conservation exact.
+
+        When the claims' fresh pages fit in ``free_pages`` all together, no
+        claim can hit a deficit in any order, so they are granted directly:
+        the policy-ordered pass (eviction, preemption) runs only otherwise.
         """
         decoding = self.decoding_requests()
         if not self.preemption or not decoding:
             return decoding
-        # Fast path: on most iterations no decode crosses a page boundary, so
-        # every claim below would be a no-op allocation.  Checking that first
-        # skips the policy sort and the per-request claim machinery; the full
-        # pass runs only on steps where at least one fresh page is needed.
         kv_manager = self.kv_manager
+        claims = []
+        total = 0
         for request in decoding:
             claim = request.context_len + 1
             if lookahead is not None:
                 claim += lookahead(request)
-            if kv_manager.needs_pages(request.request_id, claim,
-                                      request.shared_kv_pages):
-                break
-        else:
+            need = kv_manager.pages_needed(request.request_id, claim,
+                                           request.shared_kv_pages)
+            if need > 0:
+                total += need
+                claims.append((request, claim))
+        if not claims or total <= kv_manager.free_pages:
+            for request, claim in claims:
+                kv_manager.allocate(request.request_id, claim,
+                                    request.shared_kv_pages)
             return decoding
         survivors: List[Request] = []
         for request in self.policy.admission_order(decoding):
@@ -543,13 +570,9 @@ class ContinuousBatchingScheduler:
             claim = request.context_len + 1
             if lookahead is not None:
                 claim += lookahead(request)
-            preempted_self = False
-            while True:
-                deficit = (kv_manager.pages_needed(
-                    request.request_id, claim,
-                    request.shared_kv_pages) - kv_manager.free_pages)
-                if deficit <= 0:
-                    break  # the claim fits
+            while (deficit := kv_manager.pages_needed(
+                    request.request_id, claim, request.shared_kv_pages)
+                    - kv_manager.free_pages) > 0:
                 if (self.prefix_cache is not None
                         and self.prefix_cache.evict(deficit) > 0):
                     # Unreferenced cached blocks go before any running
@@ -558,9 +581,8 @@ class ContinuousBatchingScheduler:
                 victim = self._pick_victim(protect=survivors + [request])
                 if victim is None:
                     # Nothing lower-priority left to evict.
-                    if survivors or len(self.running) > 1:
+                    if survivors or self.num_running > 1:
                         self.preempt(request, self._clock)
-                        preempted_self = True
                         break
                     raise PageAllocationError(
                         f"request {request.request_id} needs "
@@ -568,9 +590,9 @@ class ContinuousBatchingScheduler:
                         f"device holds only "
                         f"{kv_manager.total_pages * kv_manager.page_size}")
                 self.preempt(victim, self._clock)
-            if not preempted_self:
-                if kv_manager.needs_pages(request.request_id, claim,
-                                          request.shared_kv_pages):
+            else:  # the claim fits
+                if kv_manager.pages_needed(request.request_id, claim,
+                                           request.shared_kv_pages) > 0:
                     kv_manager.allocate(request.request_id, claim,
                                         request.shared_kv_pages)
                 survivors.append(request)
@@ -604,17 +626,11 @@ class ContinuousBatchingScheduler:
         completed: List[Request] = []
         survivors: List[Request] = []
         kv_manager = self.kv_manager
-        for request in self.running:
-            if request.state is not RequestState.DECODING:
+        for request in self.decoding:
+            tokens = 1 if commits is None else commits.get(request.request_id, 0)
+            if tokens <= 0:
                 survivors.append(request)
                 continue
-            if commits is None:
-                tokens = 1
-            else:
-                tokens = commits.get(request.request_id, 0)
-                if tokens <= 0:
-                    survivors.append(request)
-                    continue
             request.generated = min(request.output_len,
                                     request.generated + tokens)
             if request.first_token_time is None:
@@ -635,9 +651,9 @@ class ContinuousBatchingScheduler:
                 # a no-op under conservative reservation and pre-claimed by
                 # prepare_decode under preemption, so the grow call is skipped
                 # unless the new context actually crosses a page boundary.
-                if kv_manager.needs_pages(request.request_id,
-                                          request.context_len,
-                                          request.shared_kv_pages):
+                if kv_manager.pages_needed(request.request_id,
+                                           request.context_len,
+                                           request.shared_kv_pages) > 0:
                     kv_manager.allocate(request.request_id,
                                         request.context_len,
                                         request.shared_kv_pages)
@@ -648,21 +664,26 @@ class ContinuousBatchingScheduler:
                                     request.context_len,
                                     request.shared_kv_pages)
                 survivors.append(request)
-        self.running = survivors
+        self.decoding = survivors
         self.finished.extend(completed)
         return completed
 
     # ------------------------------------------------------------------
     @property
+    def running(self) -> List[Request]:
+        """Admitted requests in admission order (a snapshot, not live)."""
+        return sorted(self.prefilling + self.decoding, key=_admission_seq)
+
+    @property
     def num_running(self) -> int:
-        return len(self.running)
+        return len(self.prefilling) + len(self.decoding)
 
     @property
     def all_done(self) -> bool:
-        return not self.waiting and not self.running
+        return not self.waiting and not self.prefilling and not self.decoding
 
     def decoding_requests(self) -> List[Request]:
-        return [r for r in self.running if r.state is RequestState.DECODING]
+        return list(self.decoding)  # a plan keeps it while prefills join
 
     def prefilling_requests(self) -> List[Request]:
-        return [r for r in self.running if r.state is RequestState.PREFILLING]
+        return list(self.prefilling)

@@ -201,7 +201,7 @@ def collect_counters(stepper) -> CounterRegistry:
             scheduler.recomputed_prefill_tokens)
     reg.set("scheduler_finished_requests_total", len(scheduler.finished))
     reg.set("scheduler_waiting_requests", len(scheduler.waiting), kind="gauge")
-    reg.set("scheduler_running_requests", len(scheduler.running), kind="gauge")
+    reg.set("scheduler_running_requests", scheduler.num_running, kind="gauge")
     reg.set("scheduler_tier_deferrals_total", scheduler.tier_deferrals)
     reg.set("scheduler_dropped_requests_total", len(scheduler.dropped))
     for tier in sorted(scheduler.drops_by_tier):
@@ -404,7 +404,7 @@ class Tracer:
         if self.config.timeseries and t1 >= self._next_sample:
             kv = scheduler.kv_manager
             self.series.append((t1, len(scheduler.waiting),
-                                len(scheduler.running), kv.utilization(),
+                                scheduler.num_running, kv.utilization(),
                                 kv.free_pages, self._finished))
             interval = self.config.sample_interval_s
             # Next grid point strictly after t1 (skip idle gaps in one step).

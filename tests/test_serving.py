@@ -312,9 +312,16 @@ def test_preemption_recompute_in_scheduler(llama7b):
     assert generated_before > 0
     # While queued, the remaining work already reflects the recompute cost.
     assert b.prefill_remaining == b.prompt_len + generated_before
+    # Request a decodes to completion alone, which frees its pages and its
+    # running slot through the scheduler's own path.
+    step = 0
+    while a.state is RequestState.DECODING:
+        assert sched.prepare_decode() == [a]
+        sched.record_decode_step(now=50.0 + step)
+        step += 1
+    assert a.state is RequestState.FINISHED and sched.num_running == 0
+    assert mgr.used_pages == 0
     # Readmission re-prefills prompt + generated tokens (recompute).
-    sched.running.clear()  # simulate request a finishing
-    mgr.free(a.request_id)
     assert len(sched.admit(now=100.0)) == 1
     assert b.state is RequestState.PREFILLING
     assert b.prefill_target == b.prompt_len + generated_before
