@@ -16,10 +16,13 @@ information a real load balancer has.  A *handoff* migrates a finished
 prefill to a decode replica, an *arrival* is routed among the active,
 prefill-capable replicas, and a *tick* lets the autoscaler provision a
 replica (cold starts activate when an advance passes their ready time) or
-drain one.  After the last arrival a static or multiplexed fleet runs dry;
-a disaggregated fleet steps its busy replicas until a round makes no
-progress with no handoff pending; an autoscaled fleet ticks until it is
-idle or two ticks pass without progress.
+drain one.  Each pass first runs the prefill-role replicas up to the next
+arrival or tick: they are the only source of handoffs and take input only
+from arrivals, so every earlier handoff is known before anything is routed,
+and each is routed at its own instant.  After the last arrival a static,
+multiplexed or disaggregated fleet runs dry; an autoscaled fleet ticks
+until nothing is starting and every active replica is done or
+:attr:`~repro.serving.engine.EngineStepper.blocked`.
 
 Routers shipped by default:
 
@@ -923,7 +926,6 @@ class ClusterEngine:
         arrivals = sorted(workload.requests,
                           key=lambda r: (r.arrival_time, r.request_id))
         pos = 0
-        stalled = 0
 
         def provision(k: int, start: float, ready: float) -> None:
             # A replica cannot run before its weights land; a reactivated
@@ -941,13 +943,6 @@ class ClusterEngine:
                 if state[k] == "starting" and ready_at[k] <= t:
                     state[k] = "active"
 
-        def collect_handoffs() -> None:
-            for k, stepper in exporters:
-                while stepper.outbox:
-                    request = stepper.outbox.pop(0)
-                    heapq.heappush(handoffs, (request.prefill_done_time,
-                                              next(tiebreak), k, request))
-
         def least_loaded(targets: List[int]) -> int:
             return min(targets,
                        key=lambda k: (replicas[k].outstanding_requests, k))
@@ -959,78 +954,44 @@ class ClusterEngine:
         while True:
             t_arrival = (arrivals[pos].arrival_time if pos < len(arrivals)
                          else math.inf)
+            # Prefill-role replicas are the only source of handoffs and take
+            # input only from arrivals, so running them up to the next
+            # arrival or tick puts every earlier handoff on the heap; each is
+            # then routed at its own instant.
+            for k, stepper in exporters:
+                stepper.run_until(min(t_arrival, next_tick))
+                for request in stepper.outbox:
+                    heapq.heappush(handoffs, (request.prefill_done_time,
+                                              next(tiebreak), k, request))
+                stepper.outbox.clear()
             if handoffs and handoffs[0][0] <= t_arrival:
-                done_time, order, source, request = heapq.heappop(handoffs)
+                done_time, _, source, request = heapq.heappop(handoffs)
                 advance(done_time)
-                collect_handoffs()
-                if handoffs and handoffs[0][0] < done_time:
-                    # Advancing uncovered an earlier completion; keep the
-                    # event order honest and route that one first.
-                    heapq.heappush(handoffs, (done_time, order, source,
-                                              request))
-                    continue
                 target = steppers[decode_idx[decode_router.route_decode(
                     request, [replicas[k] for k in decode_idx])]]
                 self.migrate_kv(request, steppers[source], target, done_time)
                 migrated_in[id(target)] += 1
             elif pos < len(arrivals) and t_arrival <= next_tick:
                 request = arrivals[pos]
-                advance(t_arrival)
-                collect_handoffs()
-                if handoffs and handoffs[0][0] <= t_arrival:
-                    continue  # advancing uncovered an earlier completion
                 pos += 1
+                advance(t_arrival)
                 routable = [k for k in range(pool) if state[k] == "active"
                             and self.roles[k] != "decode"]
                 index = routable[router.route(
                     request, [replicas[k] for k in routable])]
                 assigned[id(replicas[index].submit(request))].append(request)
-            elif scaler is None and not exporters:
+            elif scaler is None:
                 advance(math.inf)  # no more events: every replica runs dry
                 break
-            elif scaler is None:
-                # Disaggregated tail: step the busy replicas to surface the
-                # remaining prefill completions, or finish.  Replicas with
-                # running work go first — they are the only possible source
-                # of new events — so an idle replica does not leap to its
-                # own next availability past a completion still being
-                # computed elsewhere.
-                busy = [r for r in replicas if not r.done]
-                if not busy:
-                    break
-                active = [r for r in busy if r.scheduler.num_running]
-                progressed = False
-                for replica in (active or busy):
-                    progressed = replica.step() or progressed
-                if not progressed and active and len(active) < len(busy):
-                    # The active set stalled; let the idle replicas advance
-                    # to their own next availability.
-                    for replica in busy:
-                        progressed = replica.step() or progressed
-                collect_handoffs()
-                if not progressed and not handoffs:
-                    break  # only never-admittable requests remain
             else:
-                starting = "starting" in state
-                if pos == len(arrivals) and not starting and all(
-                        replicas[k].done for k in range(pool)
-                        if state[k] == "active"):
+                # Nothing can change once arrivals are exhausted, no replica
+                # is starting and every active one is done or blocked.
+                if pos == len(arrivals) and "starting" not in state and all(
+                        replicas[k].done or replicas[k].blocked
+                        for k in range(pool) if state[k] == "active"):
                     break
-                live = [k for k in range(pool) if state[k] != "stopped"]
-                signature = [(replicas[k].now, replicas[k].iterations)
-                             for k in live]
                 advance(next_tick)
                 now, next_tick = next_tick, next_tick + autoscaler.interval_s
-                if pos == len(arrivals) and not starting:
-                    # Post-arrival drain tail: if no live replica progressed
-                    # over two full ticks, only never-admittable requests
-                    # remain — stop instead of ticking forever.
-                    progressed = signature != [
-                        (replicas[k].now, replicas[k].iterations)
-                        for k in live]
-                    stalled = 0 if progressed else stalled + 1
-                    if stalled >= 2:
-                        break
                 active = [k for k in range(pool) if state[k] == "active"]
                 recent_finished = recent_ok = 0
                 for k in active:

@@ -768,6 +768,9 @@ class EngineStepper:
         self.generated = 0
         self.busy_s = 0.0
         self.kv_utilization_peak = 0.0
+        #: Set when :meth:`step` stops because no waiting request can ever
+        #: be admitted without a new submission; :meth:`submit` clears it.
+        self.blocked = False
         self._guard = 0
 
     # ------------------------------------------------------------------
@@ -776,6 +779,7 @@ class EngineStepper:
         if isinstance(requests, Request):
             requests = [requests]
         self.scheduler.submit(list(requests))
+        self.blocked = False
         return self
 
     @property
@@ -873,7 +877,8 @@ class EngineStepper:
 
         Returns ``False`` once no further progress is possible with the
         requests submitted so far: everything finished, or the remaining
-        requests can never be admitted (they stay unserved).
+        requests can never be admitted (they stay unserved and
+        :attr:`blocked` is set).
 
         ``horizon`` bounds the idle jump: an idle replica never advances its
         clock past it to a strictly-later availability.  The cluster's event
@@ -928,6 +933,7 @@ class EngineStepper:
             index = bisect_right(waiting, self.now,
                                  key=lambda r: r.available_time)
             if index == len(waiting):
+                self.blocked = True
                 return False
             jump = waiting[index].available_time
             if horizon is not None and jump > horizon:

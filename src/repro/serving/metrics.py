@@ -25,57 +25,24 @@ import numpy as np
 
 from repro.serving.request import Request
 
-__all__ = ["RequestMetrics", "LatencySummary", "ServingMetrics"]
+__all__ = ["LatencyRecord", "RequestMetrics", "LatencySummary",
+           "ServingMetrics"]
 
 
-@dataclass(frozen=True)
-class RequestMetrics:
-    """Latency record of one finished request (all times in seconds)."""
+class LatencyRecord:
+    """The per-request latency and SLO rule of one finished request.
 
-    request_id: int
-    prompt_len: int
-    output_len: int
-    arrival_time: float
-    first_token_time: float
-    finish_time: float
-    admitted_time: Optional[float] = None
-    preemptions: int = 0
-    #: Disaggregated serving: prefill→decode handoffs this request went
-    #: through, and the exposed KV-transfer delay they added to its TTFT.
-    migrations: int = 0
-    transfer_delay_s: float = 0.0
-    #: Speculative decoding: draft-and-verify iterations, draft tokens
-    #: proposed and accepted for this request (all zero when off).
-    spec_steps: int = 0
-    draft_proposed: int = 0
-    draft_accepted: int = 0
-    #: Precision-aware serving: the quality floor the request demanded and
-    #: the ``min_precision_bits`` of the system that served it.  A floor of
-    #: 0 accepts any precision, so both default to the pre-refactor world.
-    precision_floor_bits: float = 0.0
-    served_precision_bits: float = 0.0
-    #: Multi-tenancy: issuing tenant and SLO tier ("paid"/"free"); untagged
-    #: workloads carry the defaults.
-    tenant: Optional[str] = None
-    tier: str = "paid"
-    #: Multi-model serving: the model that served the request; ``None`` on
-    #: single-model engines (untagged workloads).
-    model: Optional[str] = None
+    Shared by the live :class:`RequestMetrics` and the trace-reconstructed
+    :class:`~repro.serving.telemetry.PhaseRecord`, so both count the same
+    requests as meeting an SLO.  Subclasses carry ``arrival_time``,
+    ``first_token_time``, ``finish_time``, ``output_len``,
+    ``precision_floor_bits`` and ``served_precision_bits``.
+    """
 
     @property
     def ttft(self) -> float:
         """Time to first token."""
         return self.first_token_time - self.arrival_time
-
-    @property
-    def queue_delay(self) -> Optional[float]:
-        """Arrival → first admission, or ``None`` when the admission time is
-        unknown.  Unknown delays are *excluded* from
-        :attr:`ServingMetrics.queue_delay` summaries — counting them as zero
-        would silently drag the percentiles toward zero."""
-        if self.admitted_time is None:
-            return None
-        return self.admitted_time - self.arrival_time
 
     @property
     def e2e_latency(self) -> float:
@@ -116,6 +83,51 @@ class RequestMetrics:
         if self.ttft > ttft_slo_s:
             return False
         return self.output_len <= 1 or self.tpot <= tpot_slo_s
+
+
+@dataclass(frozen=True)
+class RequestMetrics(LatencyRecord):
+    """Latency record of one finished request (all times in seconds)."""
+
+    request_id: int
+    prompt_len: int
+    output_len: int
+    arrival_time: float
+    first_token_time: float
+    finish_time: float
+    admitted_time: Optional[float] = None
+    preemptions: int = 0
+    #: Disaggregated serving: prefill→decode handoffs this request went
+    #: through, and the exposed KV-transfer delay they added to its TTFT.
+    migrations: int = 0
+    transfer_delay_s: float = 0.0
+    #: Speculative decoding: draft-and-verify iterations, draft tokens
+    #: proposed and accepted for this request (all zero when off).
+    spec_steps: int = 0
+    draft_proposed: int = 0
+    draft_accepted: int = 0
+    #: Precision-aware serving: the quality floor the request demanded and
+    #: the ``min_precision_bits`` of the system that served it.  A floor of
+    #: 0 accepts any precision, so both default to the pre-refactor world.
+    precision_floor_bits: float = 0.0
+    served_precision_bits: float = 0.0
+    #: Multi-tenancy: issuing tenant and SLO tier ("paid"/"free"); untagged
+    #: workloads carry the defaults.
+    tenant: Optional[str] = None
+    tier: str = "paid"
+    #: Multi-model serving: the model that served the request; ``None`` on
+    #: single-model engines (untagged workloads).
+    model: Optional[str] = None
+
+    @property
+    def queue_delay(self) -> Optional[float]:
+        """Arrival → first admission, or ``None`` when the admission time is
+        unknown.  Unknown delays are *excluded* from
+        :attr:`ServingMetrics.queue_delay` summaries — counting them as zero
+        would silently drag the percentiles toward zero."""
+        if self.admitted_time is None:
+            return None
+        return self.admitted_time - self.arrival_time
 
     @classmethod
     def from_request(cls, request: Request) -> "RequestMetrics":

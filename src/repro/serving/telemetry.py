@@ -54,6 +54,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.serving.metrics import LatencyRecord
+
 __all__ = [
     "TelemetryConfig",
     "CounterRegistry",
@@ -385,7 +387,9 @@ class Tracer:
                                  request.prompt_len,
                                  request.preemptions,
                                  request.migrations,
-                                 request.transfer_delay_s), 0))
+                                 request.transfer_delay_s,
+                                 request.precision_floor_bits,
+                                 request.served_precision_bits), 0))
 
     # -- iteration + time-series hook -----------------------------------
     def iteration(self, t0: float, t1: float, prefill_tokens: int,
@@ -585,7 +589,8 @@ class Tracer:
             end_args: Dict[str, object] = {}
             if finish_payload is not None:
                 (arrival, first, finish, output_len, prompt_len, preempts,
-                 migrations, transfer_delay) = finish_payload
+                 migrations, transfer_delay, floor_bits,
+                 served_bits) = finish_payload
                 end_args = {"arrival_time_s": arrival,
                             "first_token_time_s": first,
                             "finish_time_s": finish,
@@ -593,7 +598,9 @@ class Tracer:
                             "prompt_len": prompt_len,
                             "preemptions": preempts,
                             "migrations": migrations,
-                            "transfer_delay_s": transfer_delay}
+                            "transfer_delay_s": transfer_delay,
+                            "precision_floor_bits": floor_bits,
+                            "served_precision_bits": served_bits}
             elif open_ended:
                 end_args = {"unfinished": True}
             elif any(e[1] == "dropped" for e in req_events):
@@ -683,14 +690,16 @@ def write_chrome_trace(path_or_file: Union[str, IO[str]],
 # Trace consumption: phase records + SLO attribution
 # ----------------------------------------------------------------------
 @dataclass
-class PhaseRecord:
+class PhaseRecord(LatencyRecord):
     """One finished request reconstructed from a Chrome trace.
 
-    ``ttft``/``tpot``/``e2e`` are computed from the raw second-resolution
-    timestamps the closing span event carries, with the same expressions as
-    :class:`~repro.serving.metrics.RequestMetrics` — bitwise-identical to
-    the live metrics.  ``phase_s`` attributes the TTFT window
-    ``[arrival, first_token]`` to the :data:`PHASES` it overlapped.
+    ``ttft``/``tpot``/``e2e_latency`` and :meth:`meets_slo` come from the
+    same :class:`~repro.serving.metrics.LatencyRecord` rule as the live
+    :class:`~repro.serving.metrics.RequestMetrics`, over the raw
+    second-resolution timestamps and precision fields the closing span
+    event carries — bitwise-identical to the live metrics.  ``phase_s``
+    attributes the TTFT window ``[arrival, first_token]`` to the
+    :data:`PHASES` it overlapped.
     """
 
     request_id: int
@@ -703,26 +712,9 @@ class PhaseRecord:
     preemptions: int
     migrations: int
     transfer_delay_s: float
+    precision_floor_bits: float = 0.0
+    served_precision_bits: float = 0.0
     phase_s: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ttft(self) -> float:
-        return self.first_token_time - self.arrival_time
-
-    @property
-    def tpot(self) -> float:
-        if self.output_len <= 1:
-            return 0.0
-        return (self.finish_time - self.first_token_time) / (self.output_len - 1)
-
-    @property
-    def e2e_latency(self) -> float:
-        return self.finish_time - self.arrival_time
-
-    def meets_slo(self, ttft_slo_s: float, tpot_slo_s: float) -> bool:
-        if self.ttft > ttft_slo_s:
-            return False
-        return self.output_len <= 1 or self.tpot <= tpot_slo_s
 
 
 def trace_phase_records(trace: Dict) -> List[PhaseRecord]:
@@ -770,7 +762,9 @@ def trace_phase_records(trace: Dict) -> List[PhaseRecord]:
             output_len=args.get("output_len", 0),
             preemptions=args.get("preemptions", 0),
             migrations=args.get("migrations", 0),
-            transfer_delay_s=args.get("transfer_delay_s", 0.0))
+            transfer_delay_s=args.get("transfer_delay_s", 0.0),
+            precision_floor_bits=args.get("precision_floor_bits", 0.0),
+            served_precision_bits=args.get("served_precision_bits", 0.0))
         window0, window1 = record.arrival_time, record.first_token_time
         phase_s = {phase: 0.0 for phase in PHASES}
         for phase, t0, t1, _pid in spans.get(rid, []):

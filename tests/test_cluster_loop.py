@@ -1,4 +1,5 @@
-"""Cluster event loop: termination and trace naming across fleet modes."""
+"""Cluster event loop: event order, termination and trace naming across
+fleet modes."""
 
 import pytest
 
@@ -7,14 +8,17 @@ from repro.model import get_config
 from repro.serving import (
     AutoscalerConfig,
     ClusterEngine,
+    EngineStepper,
     ModelResidency,
     MultiplexConfig,
+    ReactiveAutoscaler,
     Request,
     SCHEDULING_PRESETS,
     ServingEngine,
     Workload,
     get_system,
     make_multi_model_workload,
+    make_router_study_workload,
     make_uniform_workload,
 )
 
@@ -25,6 +29,12 @@ SYSTEM = get_system("qserve-w4a8kv4-chn")
 #: KV pool of every replica (or every multiplexed model) in pages; the
 #: 4000-token request below needs more than this and can never be admitted.
 POOL_PAGES = 200
+
+
+def _pool_bytes() -> float:
+    page_bytes = ServingEngine(M7, A100, SYSTEM).new_kv_manager() \
+        .bytes_per_page()
+    return POOL_PAGES * page_bytes
 
 
 def _stuck_workload() -> Workload:
@@ -38,9 +48,7 @@ def _stuck_workload() -> Workload:
 @pytest.mark.parametrize("mode", ["static", "disaggregated", "autoscaled",
                                   "multiplexed"])
 def test_never_admittable_request_ends_every_fleet_mode(mode, monkeypatch):
-    page_bytes = ServingEngine(M7, A100, SYSTEM).new_kv_manager() \
-        .bytes_per_page()
-    pool_bytes = POOL_PAGES * page_bytes
+    pool_bytes = _pool_bytes()
     kwargs = {}
     roles = None
     if mode == "multiplexed":
@@ -63,6 +71,78 @@ def test_never_admittable_request_ends_every_fleet_mode(mode, monkeypatch):
     result = cluster.serve(_stuck_workload(), **kwargs)
     assert result.num_unserved == 1
     assert result.num_finished == 8
+
+
+def test_blocked_stepper_is_cleared_by_an_admittable_submission(monkeypatch):
+    pool_bytes = _pool_bytes()
+    monkeypatch.setattr(ServingEngine, "kv_capacity_bytes",
+                        lambda self: pool_bytes)
+    stepper = EngineStepper(ServingEngine(M7, A100, SYSTEM, max_seq_len=8192))
+    stepper.submit(_stuck_workload().requests[0])
+    stepper.run()
+    assert stepper.blocked and not stepper.done
+    small = Request(request_id=1, prompt_len=64, output_len=8,
+                    arrival_time=stepper.now)
+    stepper.submit(small)
+    assert not stepper.blocked
+    stepper.run()
+    assert small.finish_time is not None
+    assert stepper.blocked  # the oversized request still cannot be admitted
+
+
+def test_autoscaled_fleet_stops_at_first_tick_after_every_replica_blocks(
+        monkeypatch):
+    pool_bytes = _pool_bytes()
+    monkeypatch.setattr(ServingEngine, "kv_capacity_bytes",
+                        lambda self: pool_bytes)
+    ticks = []
+    decide = ReactiveAutoscaler.decide
+
+    def recording_decide(self, snapshot):
+        ticks.append(snapshot.now)
+        return decide(self, snapshot)
+
+    monkeypatch.setattr(ReactiveAutoscaler, "decide", recording_decide)
+    cluster = ClusterEngine(M7, A100, SYSTEM, num_replicas=2,
+                            max_seq_len=8192)
+    result = cluster.serve(_stuck_workload(), autoscaler=AutoscalerConfig(
+        min_replicas=1, max_replicas=2, interval_s=1.0))
+    # Every servable request finished, and the oversized one blocked,
+    # before the first tick; that tick is the last.
+    assert result.total_time_s < 1.0
+    assert ticks == [1.0]
+    assert result.num_unserved == 1
+
+
+def test_handoffs_are_routed_at_their_own_instant(monkeypatch):
+    """A decode target is at most one of its own iterations past the
+    instant a handoff is routed to it."""
+    started = {}
+    step = EngineStepper.step
+
+    def recording_step(self, horizon=None):
+        started[id(self)] = self.now
+        return step(self, horizon)
+
+    late = []
+    migrate = ClusterEngine.migrate_kv
+
+    def checking_migrate(self, request, source, target, now):
+        # The target's clock may pass ``now`` only through an iteration
+        # that started at or before it.
+        if target.now > now and started.get(id(target), 0.0) > now:
+            late.append((request.request_id, target.now - now))
+        return migrate(self, request, source, target, now)
+
+    monkeypatch.setattr(EngineStepper, "step", recording_step)
+    monkeypatch.setattr(ClusterEngine, "migrate_kv", checking_migrate)
+    cluster = ClusterEngine(M7, A100, SYSTEM, num_replicas=4, max_seq_len=4096,
+                            roles=["prefill", "decode", "decode", "decode"])
+    result = cluster.serve(make_router_study_workload(120, seed=1),
+                           router="disaggregated", max_num_seqs=24,
+                           scheduling=SCHEDULING_PRESETS["chunked"])
+    assert result.num_migrations == 120
+    assert late == []
 
 
 def _process_names(result):

@@ -23,6 +23,7 @@ from repro.serving import (
     collect_counters,
     make_bursty_workload,
     make_chat_workload,
+    make_mixed_precision_workload,
     make_uniform_workload,
     trace_phase_records,
     write_chrome_trace,
@@ -211,6 +212,25 @@ def test_attainment_matches_serving_metrics(llama7b):
     # live metrics (no precision floors in this workload).
     assert att.attainment == pytest.approx(
         result.metrics.slo_attainment(0.05, 0.02))
+
+
+def test_traced_attainment_counts_precision_violators(llama7b):
+    # Round-robin blind to quality floors sends floored requests to the
+    # 4-bit replicas; the trace must fail them exactly as the live metrics do.
+    cluster = ClusterEngine(
+        llama7b, A100, SYSTEM_PRESETS["trt-fp16"], num_replicas=4,
+        systems=["trt-fp16"] * 2 + ["qserve-w4a8kv4-chn"] * 2)
+    result = cluster.serve(
+        make_mixed_precision_workload(120, arrival_rate=12.0, seed=1),
+        router="round-robin", telemetry=True)
+    live = result.metrics
+    assert any(not m.precision_ok for m in live.requests)
+    buf = io.StringIO()
+    write_chrome_trace(buf, result.chrome_trace())
+    att = attribute_slo(json.loads(buf.getvalue()), 1.0, 0.05)
+    assert sorted(r.request_id for r in att.violators) == sorted(
+        m.request_id for m in live.requests if not m.meets_slo(1.0, 0.05))
+    assert att.attainment == pytest.approx(live.slo_attainment(1.0, 0.05))
 
 
 def test_preemption_stall_phase_is_attributed(llama7b, monkeypatch):
