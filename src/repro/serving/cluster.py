@@ -21,8 +21,11 @@ arrival or tick: they are the only source of handoffs and take input only
 from arrivals, so every earlier handoff is known before anything is routed,
 and each is routed at its own instant.  After the last arrival a static,
 multiplexed or disaggregated fleet runs dry; an autoscaled fleet ticks
-until nothing is starting and every active replica is done or
-:attr:`~repro.serving.engine.EngineStepper.blocked`.
+until nothing is starting and no active replica has a
+:meth:`~repro.serving.engine.EngineStepper.next_ready_time`.  Each replica
+answers "when can I next act?" once, there: an idle replica waiting on a
+later availability (an in-flight KV transfer, a tier promotion) is never
+run past an event the loop has yet to deliver.
 
 Routers shipped by default:
 
@@ -677,35 +680,22 @@ class _MultiplexReplica:
         """Advance the serialized timeline until no stepper can start < ``t``.
 
         Repeatedly picks the stepper able to start soonest on the shared
-        GPU — its own ready time, but never before the replica's committed
-        frontier — lets it run one step, and folds the outcome back into
-        the frontier.  Ties break toward the lowest model index.
-        ``t=math.inf`` drains everything.
+        GPU — its own :meth:`~EngineStepper.next_ready_time`, but never
+        before the replica's committed frontier — lets it run one step, and
+        folds the outcome back into the frontier.  Ties break toward the
+        lowest model index.  ``t=math.inf`` drains everything.
         """
-        stuck: set = set()
         while True:
-            best = None
-            for j, stepper in enumerate(self.steppers):
-                if j in stuck:
-                    continue
-                ready = stepper.next_ready_time()
-                if ready is None:
-                    continue
-                start = max(self.clock, ready)
-                if best is None or start < best[0]:
-                    best = (start, j, stepper)
-            if best is None:
+            starts = [(max(self.clock, ready), j)
+                      for j, stepper in enumerate(self.steppers)
+                      if (ready := stepper.next_ready_time()) is not None]
+            if not starts or min(starts)[0] >= t:
                 return
-            start, _, stepper = best
-            if start >= t:
-                return
+            start, j = min(starts)
+            stepper = self.steppers[j]
             stepper.sync_clock(start)
-            if stepper.step(horizon=t):
-                self.clock = max(self.clock, stepper.now)
-            else:
-                # No admissible work on this model before the horizon
-                # (or ever); stop re-polling it this pass.
-                stuck.add(best[1])
+            stepper.step()
+            self.clock = max(self.clock, stepper.now)
 
 
 # ----------------------------------------------------------------------
@@ -985,9 +975,9 @@ class ClusterEngine:
                 break
             else:
                 # Nothing can change once arrivals are exhausted, no replica
-                # is starting and every active one is done or blocked.
+                # is starting and no active one can make progress.
                 if pos == len(arrivals) and "starting" not in state and all(
-                        replicas[k].done or replicas[k].blocked
+                        replicas[k].next_ready_time() is None
                         for k in range(pool) if state[k] == "active"):
                     break
                 advance(next_tick)

@@ -48,7 +48,7 @@ bitwise-identical.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -768,9 +768,10 @@ class EngineStepper:
         self.generated = 0
         self.busy_s = 0.0
         self.kv_utilization_peak = 0.0
-        #: Set when :meth:`step` stops because no waiting request can ever
-        #: be admitted without a new submission; :meth:`submit` clears it.
-        self.blocked = False
+        #: Set by a step that plans nothing: the instant admission can next
+        #: change (``math.inf``: not before a new submission).
+        #: :meth:`submit` and the next :meth:`step` clear it.
+        self._wake: Optional[float] = None
         self._guard = 0
 
     # ------------------------------------------------------------------
@@ -779,7 +780,7 @@ class EngineStepper:
         if isinstance(requests, Request):
             requests = [requests]
         self.scheduler.submit(list(requests))
-        self.blocked = False
+        self._wake = None
         return self
 
     @property
@@ -857,14 +858,20 @@ class EngineStepper:
         return t0
 
     def next_ready_time(self) -> Optional[float]:
-        """Earliest instant this stepper could execute work.
+        """Earliest instant a :meth:`step` can make progress.
 
-        ``now`` when something is running (or an arrived request waits),
-        the head waiting request's availability otherwise, ``None`` when
-        the stepper is fully drained.  The multiplexed replica loop uses
-        this to pick which model's stepper owns the GPU next.
+        ``now`` when something is running (or an arrived request may be
+        admitted), the head waiting request's availability when nothing has
+        arrived yet, and after a step that planned nothing the instant the
+        scheduler's admission can next change.  ``None`` when no step can
+        make progress until a new submission: the stepper is drained, or the
+        requests left can never be admitted (they stay unserved).  Every
+        driver — :meth:`run_until`, the multiplexed replica and the
+        autoscaler's stop rule — reads this one answer.
         """
         scheduler = self.scheduler
+        if self._wake is not None:
+            return None if self._wake == math.inf else max(self.now, self._wake)
         if scheduler.num_running:
             return self.now
         if not scheduler.waiting:
@@ -872,24 +879,21 @@ class EngineStepper:
         return max(self.now, scheduler.waiting[0].available_time)
 
     # ------------------------------------------------------------------
-    def step(self, horizon: Optional[float] = None) -> bool:
-        """Run one pass of the serving-loop body.
+    def step(self) -> bool:
+        """Run one pass of the serving-loop body at :meth:`next_ready_time`.
 
-        Returns ``False`` once no further progress is possible with the
-        requests submitted so far: everything finished, or the remaining
-        requests can never be admitted (they stay unserved and
-        :attr:`blocked` is set).
-
-        ``horizon`` bounds the idle jump: an idle replica never advances its
-        clock past it to a strictly-later availability.  The cluster's event
-        loop passes the current event time so that a replica waiting only on
-        an in-flight KV transfer does not leap over events (arrivals,
-        earlier migrations) the cluster has yet to deliver.  Iterations
-        themselves stay atomic and may still overshoot.
+        Moves the clock to the ready time first, so an idle stepper jumps
+        straight to the instant it can act.  Returns ``True`` while progress
+        is still possible and ``False`` once it is not with the requests
+        submitted so far: everything finished, or the remaining requests can
+        never be admitted.
         """
-        scheduler = self.scheduler
-        if scheduler.all_done:
+        ready = self.next_ready_time()
+        if ready is None:
             return False
+        self.now = ready
+        self._wake = None
+        scheduler = self.scheduler
         self._guard += 1
         if self._guard > _MAX_ITERATIONS:
             raise RuntimeError("serving loop failed to terminate")
@@ -906,40 +910,15 @@ class EngineStepper:
                         if r.state is RequestState.PREFILLING]
         plan = self.planner.plan(scheduler, admitted)
         if plan.is_empty:
-            # Nothing runnable: jump to the next arrival (for migrated
-            # requests, the instant their KV transfer lands), or stop if the
-            # remaining requests can never be admitted.  The scheduler keeps
-            # ``waiting`` sorted by availability, so the next arrival is the
-            # queue head and the first strictly-future one a bisect away —
-            # no full-queue scan.
-            waiting = scheduler.waiting
-            if not waiting:
-                return False
-            next_arrival = waiting[0].available_time
-            if next_arrival > self.now:
-                if horizon is not None and next_arrival > horizon:
-                    return False  # nothing more can happen before the horizon
-                self.now = next_arrival
-                return True
-            # Admission, preemption and planning all made no progress at
-            # ``now`` and the scheduler state is unchanged, so replanning at
-            # the same clock would spin forever (the old loop did, until the
-            # iteration guard fired).  Jump deterministically to the next
-            # strictly-future arrival — only a new admission can unwedge the
-            # loop — or stop and report the stuck requests as unserved.
-            # This applies with or without a running batch: an arrived
-            # request that can never be admitted (larger than the whole KV
-            # cache) must strand only itself, not every later arrival.
-            index = bisect_right(waiting, self.now,
-                                 key=lambda r: r.available_time)
-            if index == len(waiting):
-                self.blocked = True
-                return False
-            jump = waiting[index].available_time
-            if horizon is not None and jump > horizon:
-                return False
-            self.now = jump
-            return True
+            # Admission, preemption and planning made no progress at ``now``
+            # and the scheduler state is unchanged, so replanning at the same
+            # clock would spin forever.  Only a later availability (for a
+            # migrated request, the instant its KV transfer lands) or a tier
+            # promotion can change admission; wait for that, or for a new
+            # submission.  An arrived request that can never be admitted
+            # (larger than the whole KV cache) so strands only itself.
+            self._wake = scheduler.next_admission_change(self.now)
+            return self._wake != math.inf
         self.kv_utilization_peak = max(self.kv_utilization_peak,
                                        self.scheduler.kv_manager.utilization())
         outcome = None
@@ -998,20 +977,21 @@ class EngineStepper:
 
     def run(self) -> None:
         """Step until no further progress is possible."""
-        while self.step():
-            pass
+        self.run_until(math.inf)
 
     def run_until(self, t: float) -> None:
-        """Advance the clock to (at least) ``t`` or until progress stops.
+        """Step while the stepper is ready before ``t``.
 
         The clock may overshoot ``t`` because iterations are atomic, but an
-        idle replica never *jumps* past it: a replica whose only pending
-        work becomes available after ``t`` (e.g. a migrated request with an
-        in-flight KV transfer) keeps its clock and waits for a later call.
+        idle replica never *jumps* past it: a replica whose next ready time
+        is after ``t`` (e.g. a migrated request with an in-flight KV
+        transfer) keeps its clock and waits for a later call.  One ready
+        exactly at ``t`` lands its clock there.
         """
-        while not self.done and self.now < t:
-            if not self.step(horizon=t):
-                break
+        while (ready := self.next_ready_time()) is not None and ready < t:
+            self.step()
+        if ready == t:
+            self.now = t
 
     # ------------------------------------------------------------------
     def result(self, workload: Workload) -> ServingResult:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
@@ -323,6 +324,27 @@ class ContinuousBatchingScheduler:
                         if id(r) not in admitted_ids] + pending
         return [r for r in admitted if r.state is RequestState.PREFILLING]
 
+    def next_admission_change(self, now: float) -> float:
+        """Earliest instant after ``now`` at which :meth:`admit` could admit
+        differently, given a pass at ``now`` admitted nothing and nothing runs
+        in between; ``math.inf`` when only a new submission can.
+
+        Two things change admission on their own: the first strictly-future
+        availability joins the arrived set (the queue is sorted, so that is a
+        bisect), and a free-tier request deferred under pressure reaches the
+        aging floor that promotes it to paid rank.
+        """
+        waiting = self.waiting
+        index = bisect.bisect_right(waiting, now, key=_availability)
+        change = (waiting[index].available_time if index < len(waiting)
+                  else math.inf)
+        if self.tier_admission and self._tier_pressure():
+            for request in waiting[:index]:
+                if self._tier_rank(request, now):
+                    change = min(change,
+                                 request.available_time + self.tier_aging_s)
+        return change
+
     # ------------------------------------------------------------------
     # Tier-aware admission (multi-tenant SLO tiers)
     # ------------------------------------------------------------------
@@ -331,11 +353,13 @@ class ContinuousBatchingScheduler:
 
         Free-tier requests that have waited at least ``tier_aging_s`` since
         becoming available are promoted to paid rank — the aging floor that
-        keeps sustained paid load from starving free traffic forever.
+        keeps sustained paid load from starving free traffic forever.  The
+        comparison is the one :meth:`next_admission_change` wakes on, so the
+        promotion happens exactly at that instant.
         """
         if request.tier != "free":
             return 0
-        return 1 if now - request.available_time < self.tier_aging_s else 0
+        return 1 if now < request.available_time + self.tier_aging_s else 0
 
     def _tier_pressure(self) -> bool:
         """Is the replica under page or queue pressure right now?
@@ -684,6 +708,3 @@ class ContinuousBatchingScheduler:
 
     def decoding_requests(self) -> List[Request]:
         return list(self.decoding)  # a plan keeps it while prefills join
-
-    def prefilling_requests(self) -> List[Request]:
-        return list(self.prefilling)

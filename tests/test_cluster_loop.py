@@ -80,14 +80,15 @@ def test_blocked_stepper_is_cleared_by_an_admittable_submission(monkeypatch):
     stepper = EngineStepper(ServingEngine(M7, A100, SYSTEM, max_seq_len=8192))
     stepper.submit(_stuck_workload().requests[0])
     stepper.run()
-    assert stepper.blocked and not stepper.done
+    assert stepper.next_ready_time() is None and not stepper.done
     small = Request(request_id=1, prompt_len=64, output_len=8,
                     arrival_time=stepper.now)
     stepper.submit(small)
-    assert not stepper.blocked
+    assert stepper.next_ready_time() == stepper.now
     stepper.run()
     assert small.finish_time is not None
-    assert stepper.blocked  # the oversized request still cannot be admitted
+    # The oversized request still cannot be admitted.
+    assert stepper.next_ready_time() is None
 
 
 def test_autoscaled_fleet_stops_at_first_tick_after_every_replica_blocks(
@@ -120,9 +121,10 @@ def test_handoffs_are_routed_at_their_own_instant(monkeypatch):
     started = {}
     step = EngineStepper.step
 
-    def recording_step(self, horizon=None):
-        started[id(self)] = self.now
-        return step(self, horizon)
+    def recording_step(self):
+        # A step starts at the ready time it moves the clock to.
+        started[id(self)] = self.next_ready_time()
+        return step(self)
 
     late = []
     migrate = ClusterEngine.migrate_kv

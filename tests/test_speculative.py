@@ -284,9 +284,10 @@ def test_stepper_horizon_with_speculation(llama7b, draft):
                             speculative=_spec(draft))
     stepper.submit([Request(request_id=0, prompt_len=64, output_len=32,
                             arrival_time=5.0)])
-    assert stepper.step(horizon=1.0) is False
+    stepper.run_until(1.0)
     assert stepper.now == 0.0
-    assert stepper.step(horizon=10.0) is True
+    assert stepper.next_ready_time() == 5.0
+    stepper.run_until(5.0)
     assert stepper.now == 5.0
     stepper.submit([Request(request_id=1, prompt_len=64, output_len=1,
                             arrival_time=1000.0)])

@@ -22,6 +22,7 @@ from repro.serving import (
     RequestState,
     SCHEDULING_PRESETS,
     ScalingEvent,
+    SchedulingConfig,
     ServingEngine,
     TIERS,
     TenantSpec,
@@ -289,6 +290,28 @@ def test_aging_floor_promotes_deferred_free_tier(llama7b):
     admitted = sched.admit(now=6.0)              # waited past tier_aging_s
     assert [r.request_id for r in admitted] == [9]
     assert sched.tier_deferrals == deferred_before
+
+
+def test_deferred_free_tier_request_is_served_after_aging(llama7b,
+                                                         monkeypatch):
+    """An idle replica whose only waiting request is a deferred free-tier
+    one wakes at the aging deadline: nothing runs, but cached prefix blocks
+    keep the pool under pressure, so only the promotion can admit it."""
+    engine = ServingEngine(llama7b, A100, get_system("trt-fp16"),
+                           max_seq_len=2048)
+    page_bytes = engine.new_kv_manager().bytes_per_page()
+    monkeypatch.setattr(ServingEngine, "kv_capacity_bytes",
+                        lambda self: 100 * page_bytes)
+    paid = _mk(0, prompt=1520, output=2)
+    paid.prompt_segments = ((1, 1520),)                 # 95 cached pages
+    free = _mk(1, tier="free", arrival=5.0)
+    result = engine.serve(Workload(requests=[paid, free]),
+                          scheduling=SchedulingConfig(
+                              chunked_prefill=True, prefix_caching=True,
+                              tier_admission=True))
+    assert free.admitted_time == 5.0 + 5.0               # tier_aging_s
+    assert free.state is RequestState.FINISHED
+    assert result.num_unserved == 0
 
 
 def test_free_tier_shedding(llama7b):
